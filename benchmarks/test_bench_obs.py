@@ -133,8 +133,8 @@ def test_collector_ingest_throughput_on_a_full_batch(benchmark):
     """Digest-verify + validate + re-parent one worker batch of 64 spans.
 
     This is the coordinator-side cost of the cross-process telemetry
-    pipe, paid inside the supervisor's poll loop — it must stay cheap
-    relative to the poll interval (20ms), or draining a span-heavy
+    pipe, paid inside the supervisor's wait loop — it must stay cheap
+    relative to the heartbeat interval (50ms), or draining a span-heavy
     worker would starve hang detection.
     """
     benchmark.group = "obs-collect"

@@ -27,9 +27,10 @@ counterexample within ``--bound``), while ``--engine ic3`` proves them
 inductive-invariant certificate (``--bound`` then caps the frame count, a
 divergence safety net rather than a proof parameter).  Properties outside a
 SAT engine's fragment are reported as skipped.  ``--engine portfolio``
-races the other engines per property in supervised worker processes —
-first conclusive verdict wins, crashed or hung workers are restarted, and
-``--workers`` caps the pool (see ``docs/RESILIENCE.md``).  ``--timeout``
+races the other engines on every property, one supervised worker process
+per engine for the whole run — first conclusive verdict wins, crashed or
+hung workers are restarted, and ``--workers`` caps the pool (see
+``docs/RESILIENCE.md``).  ``--timeout``
 and ``--memory-limit`` attach a resource budget that every engine observes
 at its cooperative checkpoints; ``--buggy`` builds the seeded-bug system
 variants.  ``--fairness`` switches
@@ -435,7 +436,10 @@ def _run_check(
         if budget.memory_bytes is not None:
             _limits.apply_memory_limit(budget.memory_bytes)
         budget_scope = _limits.active(budget)
-    with budget_scope:
+    # The portfolio's workers live as long as the checker: leaving this block
+    # closes it on every path (shutdown_all() covers the Ctrl-C path).
+    teardown = checker if engine == "portfolio" else contextlib.nullcontext()
+    with budget_scope, teardown:
         for name, formula in family.items():
             try:
                 checked = timed_call(checker.check, formula)

@@ -553,12 +553,7 @@ def make_ctl_checker(
 
         if isinstance(structure, CompiledKripkeStructure):
             structure = structure.source
-        return PortfolioModelChecker(
-            structure,
-            bound=bound,
-            fairness=fairness,
-            validate_structure=validate_structure,
-        )
+        return PortfolioModelChecker(structure, bound=bound, fairness=fairness)
     raise ModelCheckingError(
         "unknown engine %r; expected one of %s" % (engine, ", ".join(ENGINE_NAMES))
     )

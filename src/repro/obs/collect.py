@@ -17,13 +17,14 @@ worker's existing result/progress pipe, in three pieces:
     The worker-process side.  Installing it (the supervisor does this in
     the worker entry point) resets the forked metrics registry — the
     child inherited the parent's counts and must not re-report them —
-    clears the inherited span context, and, when the context says tracing
-    is on, enables a worker-local tracer whose single sink batches
-    finished spans into ``("telemetry", ...)`` messages on the pipe.
-    ``close()`` flushes the remaining buffer and ships a final
-    :meth:`~repro.obs.metrics.MetricsRegistry.as_records` snapshot; the
-    supervisor calls it on every exit path before the terminal message,
-    so cancelled and failing workers still report where their time went.
+    clears the inherited span context, and, while the current request's
+    context says tracing is on, keeps a worker-local tracer whose single
+    sink batches finished spans into ``("telemetry", ...)`` messages on
+    the pipe.  ``flush()`` ships the remaining buffer and a
+    :meth:`~repro.obs.metrics.MetricsRegistry.as_records` snapshot of the
+    request's metrics; the supervisor calls it at the end of every request,
+    on every exit path, before the terminal message, so cancelled and
+    failing requests still report where their time went.
     Each telemetry payload is pickled and SHA-256-digested like the
     result payload (and garbled by the same chaos fault, when armed).
 
@@ -243,14 +244,18 @@ class _BufferSink:
 
 
 class WorkerTelemetry:
-    """Worker-process exporter: buffer spans, ship them plus final metrics.
+    """Worker-process exporter: buffer spans, ship them plus metrics.
 
-    ``conn`` is the worker's result connection; telemetry messages are
+    ``conn`` is the worker's connection; telemetry messages are
     ``("telemetry", task_id, payload_bytes, sha256_hexdigest)`` tuples so
     the supervisor can verify integrity before unpickling, exactly like
     result payloads.  ``injector`` is the worker's chaos injector: an
     armed ``garble`` fault corrupts telemetry payloads too, which is what
     exercises the collector's drop path end to end.
+
+    A long-lived worker serves many requests: :meth:`rearm` adopts each
+    request's trace context and chaos injector, and :meth:`flush` ships
+    everything the request produced before its result goes out.
     """
 
     def __init__(
@@ -264,20 +269,33 @@ class WorkerTelemetry:
         self._conn = conn
         self._task_id = task_id
         self._injector = injector
+        self._batch_spans = batch_spans
         self._sink: Optional[_BufferSink] = None
         self._closed = False
         # The fork copied the parent's registry wholesale; reset it so the
-        # final snapshot is this worker's own contribution, not a
+        # first snapshot is this worker's own contribution, not a
         # double-count of everything the coordinator already recorded.
         _metrics.REGISTRY.reset()
         _trace.clear_current_span()
-        if context is not None and context.enabled:
-            self._sink = _BufferSink(self._ship, batch_spans=batch_spans)
+        # The inherited tracer (if any) writes to the parent's sinks — file
+        # handles this process must not touch.
+        _trace.disable()
+        self.rearm(context, injector)
+
+    def rearm(self, context: Optional[TraceContext], injector=None) -> None:
+        """Adopt the next request's trace context and chaos injector.
+
+        Tracing follows the context: a worker-local tracer records spans
+        while the coordinator traces, and none does while it does not.
+        """
+        self._injector = injector
+        enabled = context is not None and context.enabled
+        if enabled and self._sink is None:
+            self._sink = _BufferSink(self._ship, batch_spans=self._batch_spans)
             _trace.enable([self._sink], keep_records=False)
-        else:
-            # The inherited tracer (if any) writes to the parent's sinks —
-            # file handles this process must not touch.
+        elif not enabled and self._sink is not None:
             _trace.disable()
+            self._sink = None
 
     def _ship(self, payload: Dict[str, Any]) -> None:
         payload = dict(payload)
@@ -291,23 +309,31 @@ class WorkerTelemetry:
         except (BrokenPipeError, OSError):
             pass  # supervisor gone; nothing left to report to
 
-    def close(self) -> None:
-        """Flush buffered spans and ship the final metrics snapshot.
+    def flush(self) -> None:
+        """Ship buffered spans and the metrics recorded since the last flush.
 
-        Idempotent; the supervisor's worker entry point calls it on every
-        exit path *before* the terminal result/failure message, so a
-        cancelled or budget-felled worker still delivers its partial
-        buffers — the loser-autopsy data ``repro-obs`` renders.
+        The worker calls it at the end of every request, on every exit
+        path, *before* the terminal result/failure message — so a
+        cancelled or budget-felled request still delivers its partial
+        buffers (the loser-autopsy data ``repro-obs`` renders), and the
+        next request's metrics start from zero.
         """
+        if self._sink is not None:
+            self._sink.flush()
+        records = _metrics.REGISTRY.as_records()
+        if records:
+            _metrics.REGISTRY.reset()
+            self._ship({"metrics": records})
+
+    def close(self) -> None:
+        """Final flush, then uninstall the worker tracer.  Idempotent."""
         if self._closed:
             return
         self._closed = True
+        self.flush()
         if self._sink is not None:
             _trace.disable()
-            self._sink.close()
-        records = _metrics.REGISTRY.as_records()
-        if records:
-            self._ship({"metrics": records})
+            self._sink = None
 
 
 class TelemetryCollector:

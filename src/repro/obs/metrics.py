@@ -26,8 +26,9 @@ Three instrument kinds, each keyed by name plus a frozen label set
     bucket boundaries.  Used for per-check latencies and fixpoint
     iteration counts, where the spread matters more than the total.
 
-Worker processes snapshot their whole registry on teardown and the
-supervisor merges it back under a ``worker`` label via
+Worker processes snapshot their whole registry at the end of every
+request (then reset it) and the supervisor merges each snapshot under a
+``worker`` label via
 :meth:`MetricsRegistry.merge_records` — see :mod:`repro.obs.collect`.
 
 Updates are plain dict/attribute operations with no locking; the
@@ -282,7 +283,7 @@ class MetricsRegistry:
         """Fold :meth:`as_records` rows from another registry into this one.
 
         ``extra_labels`` are added to every merged series — the supervisor
-        merges each worker's final snapshot under ``worker=<engine>`` so a
+        merges each worker's per-request snapshot under ``worker=<engine>`` so a
         portfolio run's ``--metrics`` file carries per-engine rows next to
         the coordinator's own.  Counters add (each worker attempt counted
         once), gauges overwrite (last snapshot wins), histograms merge

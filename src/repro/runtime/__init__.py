@@ -11,14 +11,15 @@ it decides:
     engine hot loops.
 
 ``repro.runtime.supervisor``
-    A supervised ``multiprocessing`` worker pool with heartbeat-based
-    hang detection, crash detection, payload integrity checking, and
-    capped exponential-backoff restarts.
+    A supervised pool of long-lived ``multiprocessing`` workers with
+    heartbeat-based hang detection, crash detection, payload integrity
+    checking, per-request cancellation, and capped exponential-backoff
+    restarts.
 
 ``repro.runtime.portfolio``
-    The ``portfolio`` meta-engine racing the other engines per property;
-    first conclusive verdict wins, losers cancelled, graceful degradation
-    when workers die.
+    The ``portfolio`` meta-engine racing the other engines per property,
+    one worker per engine for the checker's lifetime; first conclusive
+    verdict wins, losers cancelled, graceful degradation when workers die.
 
 ``repro.runtime.chaos``
     Deterministic seeded fault injection (``REPRO_CHAOS``) that kills,

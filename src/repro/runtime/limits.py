@@ -51,6 +51,7 @@ __all__ = [
     "activate",
     "deactivate",
     "active",
+    "shielded",
     "checkpoint",
     "current_budget",
     "apply_memory_limit",
@@ -269,6 +270,27 @@ def active(budget: ResourceBudget, cancel=None) -> Iterator[ResourceBudget]:
         yield budget
     finally:
         deactivate()
+
+
+@contextlib.contextmanager
+def shielded() -> Iterator[None]:
+    """Hold cancellation off for a block that must finish whole.
+
+    Deadlines and gauge ceilings still apply inside the block; a
+    cancellation requested meanwhile is seen at the first checkpoint after
+    it.  The portfolio's memoised worker-side build runs shielded, so a
+    loser stood down mid-build still finishes the build and stays warm for
+    the next formula.
+    """
+    armed = _ACTIVE
+    if armed is None:
+        yield
+        return
+    cancel, armed.cancel = armed.cancel, None
+    try:
+        yield
+    finally:
+        armed.cancel = cancel
 
 
 def current_budget() -> Optional[ResourceBudget]:

@@ -6,10 +6,15 @@ ones, bounded model checking on shallow counterexamples, IC3 on deep
 invariants.  :class:`PortfolioModelChecker` registers as the sixth engine
 (``engine="portfolio"`` in :func:`repro.mc.bitset.make_ctl_checker` and the
 CLI) and, per property, races a configurable subset of the other engines in
-supervised worker processes (:mod:`repro.runtime.supervisor`):
+supervised worker processes (:mod:`repro.runtime.supervisor`).  Each raced
+engine gets one worker for the checker's lifetime: it is forked on the
+first :meth:`~PortfolioModelChecker.check`, builds its structure once, and
+then serves one formula after another until
+:meth:`~PortfolioModelChecker.close`.  Per formula:
 
-* the **first conclusive verdict wins**; the losers are cancelled
-  cooperatively (their checkpoints observe the token) with a grace window,
+* the **first conclusive verdict wins**; the losers are cancelled for that
+  formula only, cooperatively (their checkpoints observe the token) with a
+  grace window; a loser still building is not waited for and not killed,
 * a loser that already finished and *disagrees* with the winner raises
   :class:`~repro.errors.EngineDisagreementError` — a cross-engine soundness
   bug must never be masked by the race,
@@ -36,6 +41,7 @@ semantics and chaos-testing knobs are documented in ``docs/RESILIENCE.md``.
 from __future__ import annotations
 
 import importlib
+import os
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -48,6 +54,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _obs_span
+from repro.runtime import limits as _limits
 from repro.runtime.chaos import ChaosConfig
 from repro.runtime.limits import ResourceBudget
 from repro.runtime.supervisor import Supervisor, TaskOutcome, WorkerTask
@@ -85,26 +92,42 @@ def structure_source(structure: Any) -> Tuple:
     return ("structure", structure)
 
 
+#: ``(pid, source, structure)`` of this process's latest build: a worker
+#: serves one engine, so one entry makes every formula after the first
+#: reuse it.  The pid keeps a forked worker from inheriting its parent's
+#: build: what a worker costs must not depend on what the parent did.
+_BUILT: Optional[Tuple[int, Tuple, Any]] = None
+
+
 def _materialise(source: Tuple) -> Any:
+    global _BUILT
     kind = source[0]
     if kind == "structure":
         return source[1]
-    if kind == "builder":
-        _, module_name, function_name, args, kwargs = source
-        module = importlib.import_module(module_name)
-        return getattr(module, function_name)(*args, **kwargs)
-    raise ModelCheckingError("unknown portfolio source kind %r" % (kind,))
+    if kind != "builder":
+        raise ModelCheckingError("unknown portfolio source kind %r" % (kind,))
+    if _BUILT is not None and _BUILT[:2] == (os.getpid(), source):
+        return _BUILT[2]
+    _, module_name, function_name, args, kwargs = source
+    module = importlib.import_module(module_name)
+    # Shielded: a loser stood down mid-build finishes the build anyway, so
+    # it is warm for the next formula instead of starting over.
+    with _limits.shielded():
+        structure = getattr(module, function_name)(*args, **kwargs)
+    _BUILT = (os.getpid(), source, structure)
+    return structure
 
 
 def run_engine_check(
     engine: str, source: Tuple, formula: Any, bound: Optional[int] = None
 ) -> Dict[str, Any]:
-    """Worker entry point: build the structure, run one engine, one check.
+    """Worker entry point: build the structure once, run one engine, one check.
 
     Module-level (picklable by reference) and returning a plain dict so the
-    supervisor's payload digesting stays engine-agnostic.  Fragment and
-    inconclusive outcomes propagate as their structured exceptions — the
-    supervisor reports them as typed failures, not crashes.
+    supervisor's payload digesting stays engine-agnostic.  The build is
+    memoised per process, so a worker pays for it on its first formula
+    only.  Fragment and inconclusive outcomes propagate as their structured
+    exceptions — the supervisor reports them as typed failures, not crashes.
     """
     structure = _materialise(source)
     from repro.kripke.symbolic import SymbolicKripkeStructure
@@ -118,8 +141,8 @@ def run_engine_check(
         finally:
             # Publish on every exit path: a cancelled loser's partial
             # solver statistics (sat.* gauges) still reach the registry
-            # snapshot the worker's telemetry exporter ships on teardown —
-            # the data the supervisor merges under worker=<engine>.
+            # snapshot the worker's telemetry exporter ships after each
+            # formula — the data the supervisor merges under worker=<engine>.
             checker.publish_metrics()
         detail = checker.last_detail
     elif engine == "bdd" and isinstance(structure, SymbolicKripkeStructure):
@@ -145,7 +168,7 @@ def run_engine_check(
 
 
 class PortfolioModelChecker:
-    """Race engines per property in supervised workers; first verdict wins.
+    """Race engines per property in long-lived workers; first verdict wins.
 
     ``structure``
         An explicit or symbolic structure every raced engine can accept
@@ -171,6 +194,10 @@ class PortfolioModelChecker:
     Like the SAT engines, the portfolio answers verdicts only
     (``supports_satisfaction_sets`` is false) and rejects
     fairness-constrained semantics.
+
+    The workers outlive each check: call :meth:`close` (or use the checker
+    as a context manager) to stop them.  They are daemons, so an
+    interpreter that exits without closing still reaps them.
     """
 
     supports_satisfaction_sets = False
@@ -186,7 +213,6 @@ class PortfolioModelChecker:
         budget: Optional[ResourceBudget] = None,
         chaos: Optional[ChaosConfig] = None,
         fairness: Any = None,
-        validate_structure: bool = True,
         hang_timeout: float = 10.0,
         max_restarts: int = 2,
         grace: float = 0.25,
@@ -223,7 +249,8 @@ class PortfolioModelChecker:
         self.hang_timeout = hang_timeout
         self.max_restarts = max_restarts
         self.grace = grace
-        self._ignored_validate = validate_structure  # workers re-validate
+        #: The worker pool, created by the first check.
+        self._supervisor: Optional[Supervisor] = None
         #: Provenance of the most recent check: engine name -> one-line fate.
         self.last_outcomes: Dict[str, str] = {}
         #: How the most recent verdict was decided ("won by bmc (...)").
@@ -254,11 +281,13 @@ class PortfolioModelChecker:
             for name, source in self._race.items()
         ]
         _counter("portfolio.races").inc()
-        supervisor = Supervisor(
-            hang_timeout=self.hang_timeout,
-            max_restarts=self.max_restarts,
-            grace=self.grace,
-        )
+        if self._supervisor is None:
+            self._supervisor = Supervisor(
+                hang_timeout=self.hang_timeout,
+                max_restarts=self.max_restarts,
+                grace=self.grace,
+            )
+        supervisor = self._supervisor
 
         def first_verdict(outcomes: Dict[str, TaskOutcome]) -> bool:
             return any(outcome.ok for outcome in outcomes.values())
@@ -287,6 +316,20 @@ class PortfolioModelChecker:
         except AttributeError:
             items = [(formula, formula) for formula in formulas]
         return {key: self.check(formula, state) for key, formula in items}
+
+    # -- lifetime ----------------------------------------------------------
+    def close(self) -> None:
+        """Stop the workers; idempotent.  A later check forks fresh ones."""
+        if self._supervisor is not None:
+            self._supervisor.shutdown()
+            self._supervisor = None
+
+    def __enter__(self) -> "PortfolioModelChecker":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
 
     # -- merging -----------------------------------------------------------
     def _merge(self, formula: Any, outcomes: Dict[str, TaskOutcome]) -> bool:

@@ -1,4 +1,4 @@
-"""Supervised ``multiprocessing`` worker pool with crash/hang recovery.
+"""Supervised pool of long-lived worker processes with crash/hang recovery.
 
 The :class:`Supervisor` runs :class:`WorkerTask`\\ s in child processes and
 watches them the way the paper's networks of processes must watch their
@@ -7,17 +7,26 @@ progress, run out of memory, or return corrupted payloads, and turns each
 of those into a structured, observable outcome instead of a hang or a
 wrong answer.
 
+Workers live as long as the supervisor.  The first :meth:`Supervisor.run`
+that names a task id forks that id's worker; every later run sends the
+worker its next request over the same pipe, so whatever the worker built
+for one request (the portfolio's memoised structure) serves the next.
+Requests are numbered by run: each call to :meth:`~Supervisor.run` is one
+*sequence number*, and cancellation is per sequence number, so standing
+down request *i* can never cancel request *i+1*.
+
 Detection machinery, per worker:
 
 ``crash``
     The process exited without delivering a result; the exit code (or
-    ``-signal``) is recorded.  Detected by polling ``Process.is_alive``.
+    ``-signal``) is recorded.  Detected through the process sentinel.
 ``hang``
-    The process is alive but its heartbeats stopped.  Workers pipe every
+    The worker is busy but its heartbeats stopped.  Workers pipe every
     progress heartbeat (:mod:`repro.obs.progress`, pumped by the
-    checkpoints in :mod:`repro.runtime.limits`) back over their result
-    connection; silence beyond ``hang_timeout`` seconds gets the worker
-    killed and counted as hung.
+    checkpoints in :mod:`repro.runtime.limits`) back over their
+    connection; silence beyond ``hang_timeout`` seconds while a request is
+    in flight gets the worker killed and counted as hung.  An idle worker
+    sends no heartbeats and is never declared hung.
 ``garble``
     The result payload's SHA-256 digest does not match the digest the
     worker computed over the true payload before sending — the result is
@@ -29,15 +38,21 @@ Detection machinery, per worker:
     :class:`~repro.errors.BudgetExceededError`, ...) and reported it as a
     typed failure message rather than dying.
 
-Crashed / hung / garbled / out-of-memory workers are restarted with
-capped exponential backoff, up to ``max_restarts`` times per task; each
-attempt re-derives its own chaos schedule, so an injected crash does not
-doom every retry.  The caller can stop the pool early (``stop_when`` —
-how a portfolio race returns as soon as one engine is conclusive) and
-cancel stragglers cooperatively with a grace window before escalating to
-``SIGTERM``/``SIGKILL``.  Every supervisor registers itself so
-:func:`shutdown_all` (the CLI's Ctrl-C path) can guarantee no orphaned
-worker processes outlive the run.
+Crashed / hung / garbled / out-of-memory workers are killed and relaunched
+with capped exponential backoff, up to ``max_restarts`` times per request;
+the relaunched worker rebuilds and is resent the request in flight.  Each
+attempt re-derives its own chaos schedule from (task, sequence number,
+attempt), so an injected crash does not doom every retry.  The caller can
+stop a run early (``stop_when`` — how a portfolio race returns as soon as
+one engine is conclusive): workers already working on the request get a
+grace window to stand down or deliver a late result, while workers that
+have not started it yet (still finishing an earlier request or a build)
+are recorded as cancelled and left running.  :meth:`Supervisor.shutdown`
+(or leaving the ``with`` block) tears the pool down, and every supervisor
+registers itself so :func:`shutdown_all` (the CLI's Ctrl-C path) can
+guarantee no orphaned worker processes outlive the run.  Workers are
+daemons: an interpreter that exits without calling ``shutdown()`` still
+terminates them.
 
 Supervision events are published as ``worker.*`` counters in the global
 metrics registry (vocabulary in ``docs/OBSERVABILITY.md``); the state
@@ -46,12 +61,13 @@ machine is documented in ``docs/RESILIENCE.md``.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import multiprocessing
+import multiprocessing.connection
 import pickle
-import time  # only time.sleep (poll loop); no clock reads (lint R002)
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     BudgetExceededError,
@@ -91,13 +107,16 @@ RESTARTABLE_STATUSES = frozenset({"crashed", "hung", "garbled", "oom"})
 
 
 class WorkerTask:
-    """One unit of supervised work: a picklable callable plus its policy.
+    """One request to a worker: a picklable callable plus its policy.
 
-    ``fn`` must be a module-level callable (pickled by reference under the
-    fork start method).  ``budget`` ceilings are armed inside the worker;
-    ``chaos`` overrides the environment's ``REPRO_CHAOS`` config for this
-    task (pass a disabled ``ChaosConfig()`` to force chaos off even under
-    a chaos environment — the chaos lane's own tests need that).
+    ``id`` names the worker that serves the request: tasks with the same
+    id in successive runs go to the same long-lived process.  ``fn`` must
+    be a module-level callable (pickled by reference).  ``budget``
+    ceilings are armed inside the worker for this request (its
+    ``memory_bytes`` caps the whole process, from the request that forks
+    it); ``chaos`` overrides the environment's ``REPRO_CHAOS`` config for
+    this request (pass a disabled ``ChaosConfig()`` to force chaos off even
+    under a chaos environment — the chaos lane's own tests need that).
     ``label`` tags the task's metrics/outcome provenance (the portfolio
     uses the engine name).
     """
@@ -124,14 +143,15 @@ class WorkerTask:
 
 
 class TaskOutcome:
-    """What finally became of one task, after restarts.
+    """What finally became of one task in one run, after restarts.
 
     ``status`` is one of ``"ok"`` (``result`` holds the return value),
     ``"error"`` (structured failure: ``error_kind``/``message``/``fields``),
     ``"budget"`` (a :class:`~repro.errors.BudgetExceededError`),
     ``"fragment"``, ``"inconclusive"``, ``"cancelled"``, ``"oom"``,
-    ``"crashed"``, ``"hung"``, or ``"garbled"``.  ``history`` lists every attempt's fate in order, so a
-    final ``"ok"`` after two chaos kills still shows the crashes.
+    ``"crashed"``, ``"hung"``, or ``"garbled"``.  ``attempts`` counts the
+    times the request was sent; ``history`` lists every attempt's fate in
+    order, so a final ``"ok"`` after two chaos kills still shows the crashes.
     """
 
     __slots__ = (
@@ -192,12 +212,19 @@ class TaskOutcome:
         return "TaskOutcome(%r, %s)" % (self.task_id, self.describe())
 
 
+def _send_quietly(conn, message: Tuple) -> None:
+    try:
+        conn.send(message)
+    except (BrokenPipeError, OSError):
+        pass  # supervisor gone; the worker sees EOF on its next receive
+
+
 class _ConnStream:
     """A write-only text stream that turns progress lines into heartbeats.
 
     Installed as the worker's progress stream, so every rate-limited
     ``[progress]`` line an engine (or a budget checkpoint) emits becomes a
-    liveness message on the result pipe instead of stderr noise.
+    liveness message on the pipe instead of stderr noise.
     """
 
     __slots__ = ("_conn", "_task_id")
@@ -208,59 +235,70 @@ class _ConnStream:
 
     def write(self, text: str) -> int:
         if text.strip():
-            try:
-                self._conn.send(("heartbeat", self._task_id, text.strip()))
-            except (BrokenPipeError, OSError):
-                pass  # supervisor gone; the worker is about to die anyway
+            _send_quietly(self._conn, ("heartbeat", self._task_id, text.strip()))
         return len(text)
 
     def flush(self) -> None:
         return None
 
 
-def _worker_main(
-    conn,
-    cancel,
-    task: WorkerTask,
-    attempt: int,
-    context: Optional[_collect.TraceContext] = None,
-) -> None:
-    """Worker-process entry point: arm policy, run the task, report once.
+class _RequestToken:
+    """Cancellation token of request ``seq``: set once the supervisor stands
+    down any request numbered ``seq`` or later.
+
+    Its first poll also tells the supervisor the request has *started*:
+    setup that must run whole (the portfolio's memoised build) runs under
+    :func:`repro.runtime.limits.shielded`, which hides the token from the
+    checkpoints, so the first poll is where cancellable work begins.
+    """
+
+    __slots__ = ("_cancelled", "_seq", "_conn")
+
+    def __init__(self, cancelled, seq: int, conn) -> None:
+        self._cancelled = cancelled
+        self._seq = seq
+        self._conn = conn
+
+    def is_set(self) -> bool:
+        if self._conn is not None:
+            conn, self._conn = self._conn, None
+            _send_quietly(conn, ("started", self._seq))
+        return self._cancelled.value >= self._seq
+
+
+def _serve(conn, cancelled, telemetry, request: Tuple) -> None:
+    """Run one request in the worker and report it exactly once.
 
     The *terminal* message (``result`` or ``fail``) is computed first and
-    sent last, from ``finally`` — after the telemetry exporter has flushed
-    its remaining span buffer and final metrics snapshot.  The supervisor
-    reaps the connection as soon as it reads a terminal message, so any
-    telemetry sent after one would be lost; and if the task body dies on an
-    unexpected exception (no terminal message at all — the crash path), the
-    ``finally`` flush still ships whatever the worker had buffered, which
-    is what makes partial traces survive crashes and cancellations.
+    sent last, after the telemetry exporter has flushed this request's
+    spans and metrics — so the supervisor files them under the request's
+    own trace context.  If the task body dies on an unexpected exception
+    (no terminal message at all — the crash path), the flush still ships
+    whatever the worker had buffered before the exception ends the
+    process, which is what makes partial traces survive crashes.
     """
-    if task.budget is not None and task.budget.memory_bytes is not None:
-        _limits.apply_memory_limit(task.budget.memory_bytes)
+    seq, attempt, task, context = request
     chaos_config = task.chaos if task.chaos is not None else _chaos.from_env()
     injector = None
     if chaos_config is not None and chaos_config.is_enabled():
-        injector = _chaos.enable(chaos_config, scope="%s#%d" % (task.id, attempt))
-    telemetry = _collect.WorkerTelemetry(context, conn, task.id, injector=injector)
-    # Heartbeats flow through the result pipe; the interval is the floor of
-    # the supervisor's hang-detection resolution.
-    enable_progress(interval=0.05, stream=_ConnStream(conn, task.id))
+        injector = _chaos.enable(chaos_config, scope="%s#%d#%d" % (task.id, seq, attempt))
+    else:
+        _chaos.disable()
+    telemetry.rearm(context, injector)
     budget = task.budget if task.budget is not None else _limits.ResourceBudget()
     terminal: Optional[Tuple] = None
     try:
-        conn.send(("started", task.id, attempt))
-        with _limits.active(budget, cancel=cancel):
+        with _limits.active(budget, cancel=_RequestToken(cancelled, seq, conn)):
             result = task.fn(*task.args, **task.kwargs)
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest()
         if injector is not None and injector.should_garble():
             payload = injector.garble_payload(payload)
-        terminal = ("result", task.id, payload, digest)
+        terminal = ("result", seq, payload, digest)
     except BudgetExceededError as exc:
         terminal = (
             "fail",
-            task.id,
+            seq,
             "BudgetExceededError",
             str(exc),
             {
@@ -271,28 +309,50 @@ def _worker_main(
             },
         )
     except CancelledError as exc:
-        terminal = ("fail", task.id, "CancelledError", str(exc), {"site": exc.site})
+        terminal = ("fail", seq, "CancelledError", str(exc), {"site": exc.site})
     except InconclusiveError as exc:
-        terminal = ("fail", task.id, "InconclusiveError", str(exc), exc.progress())
+        terminal = ("fail", seq, "InconclusiveError", str(exc), exc.progress())
     except FragmentError as exc:
-        terminal = ("fail", task.id, "FragmentError", str(exc), {})
+        terminal = ("fail", seq, "FragmentError", str(exc), {})
     except MemoryError as exc:
-        terminal = ("fail", task.id, "MemoryError", str(exc), {})
+        terminal = ("fail", seq, "MemoryError", str(exc), {})
     except ReproError as exc:
-        terminal = ("fail", task.id, type(exc).__name__, str(exc), {})
+        terminal = ("fail", seq, type(exc).__name__, str(exc), {})
     finally:
         # Anything else (a genuine bug) propagates and the non-zero exit
         # code surfaces as a crash in the supervisor — after the flush.
-        telemetry.close()
+        telemetry.flush()
         if terminal is not None:
+            _send_quietly(conn, terminal)
+
+
+def _worker_main(conn, supervisor_end, cancelled, request: Tuple) -> None:
+    """Worker-process entry point: serve requests until the pipe closes.
+
+    ``request`` is the first request, inherited through the fork; later
+    ones arrive over ``conn``, each sent only once the previous one is
+    answered.  End-of-file (the supervisor is gone) ends the loop.
+    """
+    # The fork duplicated the supervisor's end of the pipe; close it so the
+    # supervisor's exit reaches this process as end-of-file.
+    supervisor_end.close()
+    task = request[2]
+    if task.budget is not None and task.budget.memory_bytes is not None:
+        _limits.apply_memory_limit(task.budget.memory_bytes)
+    telemetry = _collect.WorkerTelemetry(request[3], conn, task.id)
+    # Heartbeats flow through the pipe; the interval is the floor of the
+    # supervisor's hang-detection resolution.
+    enable_progress(interval=0.05, stream=_ConnStream(conn, task.id))
+    try:
+        while request is not None:
+            _serve(conn, cancelled, telemetry, request)
             try:
-                conn.send(terminal)
-            except (BrokenPipeError, OSError):  # pragma: no cover - gone
-                pass
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
+                request = conn.recv()
+            except (EOFError, OSError, KeyboardInterrupt):
+                request = None
+    finally:
+        telemetry.close()
+        conn.close()
 
 
 #: Failure kinds that map to non-"error" outcome statuses.
@@ -304,30 +364,88 @@ _FAIL_STATUS = {
     "InconclusiveError": "inconclusive",
 }
 
+#: Attempt failures and the counter each one bumps.
+_FAILURE_COUNTERS = {
+    "crashed": "worker.crashes",
+    "hung": "worker.hangs",
+    "garbled": "worker.garbled",
+    "oom": "worker.oom",
+}
 
-class _WorkerState:
-    """Supervisor-side bookkeeping for one task's current attempt."""
+
+class _Request:
+    """A request queued for, or being served by, a worker."""
+
+    __slots__ = ("seq", "context", "message", "started")
+
+    def __init__(self, seq: int, context: _collect.TraceContext, message: Tuple) -> None:
+        self.seq = seq
+        self.context = context
+        #: What to send the worker; ``None`` once it has the request.
+        self.message: Optional[Tuple] = message
+        self.started = False
+
+
+class _Worker:
+    """Supervisor-side bookkeeping for one long-lived worker process."""
 
     __slots__ = (
-        "task",
+        "task_id",
+        "label",
         "process",
         "conn",
-        "cancel",
-        "attempt",
+        "pending",
         "last_seen_ns",
         "retry_at_ns",
-        "context",
+        "launches",
     )
 
     def __init__(self, task: WorkerTask) -> None:
-        self.task = task
+        self.task_id = task.id
+        self.label = task.label
+        self.launches = 0
         self.process = None
         self.conn = None
-        self.cancel = None
-        self.attempt = 0
+        #: Unanswered requests, oldest first.  Only ``pending[0]`` is in the
+        #: worker, so every message the worker sends concerns it; the next
+        #: is sent when it is answered (a worker busy with its own sends
+        #: could otherwise leave both ends blocked on full pipes).
+        self.pending: Deque[_Request] = collections.deque()
         self.last_seen_ns = 0
         self.retry_at_ns: Optional[int] = None  # set while waiting out backoff
-        self.context: Optional[_collect.TraceContext] = None  # per-attempt
+
+    @property
+    def alive(self) -> bool:
+        return self.process is not None
+
+    @property
+    def busy(self) -> bool:
+        return self.process is not None and bool(self.pending)
+
+
+def _retire(worker: _Worker) -> None:
+    """Kill (if still alive), reap, and forget the worker's process."""
+    process = worker.process
+    if worker.conn is not None:
+        try:
+            worker.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        worker.conn = None
+    if process is not None:
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=0.5)
+            if process.is_alive():  # pragma: no cover - SIGTERM blocked
+                process.kill()
+        process.join(timeout=1.0)
+        worker.process = None
+    worker.pending.clear()
+
+
+def _retire_all(workers: Dict[str, _Worker]) -> None:
+    for worker in workers.values():
+        _retire(worker)
 
 
 #: Every live supervisor, for shutdown_all() on Ctrl-C.
@@ -348,21 +466,21 @@ def shutdown_all() -> int:
 
 
 class Supervisor:
-    """Runs tasks in worker processes; detects, restarts, never hangs.
+    """Runs tasks in long-lived worker processes; detects, restarts, never hangs.
 
     ``hang_timeout``
-        Seconds of heartbeat silence before a live worker is declared hung
+        Seconds of heartbeat silence before a busy worker is declared hung
         and killed.
     ``max_restarts``
-        Restarts per task (on top of the first attempt) for
+        Restarts per request (on top of the first attempt) for
         :data:`RESTARTABLE_STATUSES` failures.
     ``backoff_base`` / ``backoff_cap``
         Restart ``n`` waits ``min(backoff_base * 2**(n-1), backoff_cap)``
         seconds before relaunching.
     ``grace``
-        Seconds cooperatively-cancelled workers get to deliver a late
-        result (how a portfolio race catches a loser that disagrees)
-        before ``SIGTERM``/``SIGKILL``.
+        Seconds workers that already started a stood-down request get to
+        deliver a late result (how a portfolio race catches a loser that
+        disagrees) or acknowledge the cancellation.
     """
 
     def __init__(
@@ -372,152 +490,171 @@ class Supervisor:
         backoff_base: float = 0.05,
         backoff_cap: float = 1.0,
         grace: float = 0.25,
-        poll_interval: float = 0.02,
     ) -> None:
         self.hang_timeout = hang_timeout
         self.max_restarts = max_restarts
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.grace = grace
-        self.poll_interval = poll_interval
+        #: The latest run's outcomes, by task id.
         self.outcomes: Dict[str, TaskOutcome] = {}
-        #: Ingests worker telemetry (spans re-parented into the live trace,
-        #: metrics merged under ``worker=<label>``) — see repro.obs.collect.
+        #: Ingests the latest run's worker telemetry (spans re-parented into
+        #: the live trace, metrics merged under ``worker=<label>``) — see
+        #: repro.obs.collect.
         self.collector = _collect.TelemetryCollector()
-        self._states: Dict[str, _WorkerState] = {}
-        self._cancelling = False
+        self._workers: Dict[str, _Worker] = {}
+        self._tasks: Dict[str, WorkerTask] = {}
+        self._seq = 0
+        #: Highest stood-down sequence number, shared with every worker.
+        #: Created with the first fork, so it never costs an idle checker.
+        self._cancelled = None
+        self._context = _collect.TraceContext()
+        self._standing_down = False
         _LIVE_SUPERVISORS.add(self)
+        # A supervisor dropped without shutdown() still takes its workers
+        # down with it (the callback holds the workers, not the supervisor).
+        weakref.finalize(self, _retire_all, self._workers)
 
     # -- lifecycle ---------------------------------------------------------
-    def _launch(self, state: _WorkerState) -> None:
-        state.attempt += 1
-        state.retry_at_ns = None
-        # Captured per attempt, at the launch site: whatever span is open
-        # right now (for a portfolio race, the ``portfolio.race`` span)
-        # becomes the parent of this attempt's re-ingested worker spans.
-        state.context = _collect.TraceContext.capture()
-        parent_conn, child_conn = _MP.Pipe(duplex=False)
-        cancel = _MP.Event()
+    def _launch(self, worker: _Worker, request: Tuple) -> None:
+        if self._cancelled is None:
+            self._cancelled = _MP.RawValue("q", 0)
+        supervisor_end, worker_end = _MP.Pipe(duplex=True)
         process = _MP.Process(
             target=_worker_main,
-            args=(child_conn, cancel, state.task, state.attempt, state.context),
-            name="repro-worker-%s" % state.task.id,
+            args=(worker_end, supervisor_end, self._cancelled, request),
+            name="repro-worker-%s" % worker.task_id,
             daemon=True,
         )
         process.start()
-        child_conn.close()
-        state.process = process
-        state.conn = parent_conn
-        state.cancel = cancel
-        state.last_seen_ns = monotonic_ns()
-        outcome = self.outcomes[state.task.id]
-        outcome.attempts = state.attempt
-        if state.attempt == 1:
-            _counter("worker.launched", task=state.task.label).inc()
-        else:
-            _counter("worker.restarts", task=state.task.label).inc()
+        worker_end.close()
+        worker.process = process
+        worker.conn = supervisor_end
+        worker.pending.clear()
+        worker.retry_at_ns = None
+        worker.launches += 1
+        name = "worker.launched" if worker.launches == 1 else "worker.restarts"
+        _counter(name, task=worker.label).inc()
 
-    def _reap(self, state: _WorkerState) -> None:
-        """Close the connection and join the (already dead) process."""
-        if state.conn is not None:
-            try:
-                state.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            state.conn = None
-        if state.process is not None:
-            state.process.join(timeout=1.0)
-            state.process = None
-
-    def _record_attempt_failure(self, state: _WorkerState, status: str, **extra: Any) -> bool:
-        """Record a failed attempt; returns whether a restart was scheduled."""
-        task = state.task
+    def _send(self, task: WorkerTask) -> None:
+        """Queue ``task`` (this run's request) for its worker, forking if needed."""
         outcome = self.outcomes[task.id]
+        outcome.attempts += 1
+        message = (self._seq, outcome.attempts, task, self._context)
+        request = _Request(self._seq, self._context, message)
+        worker = self._workers.get(task.id)
+        if worker is None:
+            worker = self._workers[task.id] = _Worker(task)
+        if not worker.alive:
+            self._launch(worker, message)  # the fork hands the request over
+            request.message = None
+            worker.last_seen_ns = monotonic_ns()
+        worker.pending.append(request)
+        self._feed(worker)
+
+    def _feed(self, worker: _Worker) -> None:
+        """Hand the worker its oldest queued request once it is free."""
+        if worker.busy and worker.pending[0].message is not None:
+            # A dead pipe means a dead worker: its sentinel reports the crash.
+            _send_quietly(worker.conn, worker.pending[0].message)
+            worker.pending[0].message = None
+            worker.last_seen_ns = monotonic_ns()
+
+    def _current_outcome(self, worker: _Worker) -> Optional[TaskOutcome]:
+        """This run's still-undecided outcome served by ``worker``, if any."""
+        if worker.task_id not in self._tasks:
+            return None
+        outcome = self.outcomes[worker.task_id]
+        return outcome if outcome.status == "pending" else None
+
+    def _attempt_failed(self, worker: _Worker, status: str, **extra: Any) -> None:
+        """The worker process failed: retire it, then restart or record.
+
+        The failure counts against this run's request to the worker, which
+        is what a restart resends.
+        """
+        _counter(_FAILURE_COUNTERS[status], task=worker.label).inc()
+        _retire(worker)
+        outcome = self._current_outcome(worker)
+        if outcome is None:
+            return  # not needed by this run; the next run relaunches it
         outcome.history.append(status)
-        if status == "crashed":
-            _counter("worker.crashes", task=task.label).inc()
-        elif status == "hung":
-            _counter("worker.hangs", task=task.label).inc()
-        elif status == "garbled":
-            _counter("worker.garbled", task=task.label).inc()
-        elif status == "oom":
-            _counter("worker.oom", task=task.label).inc()
-        self._reap(state)
-        if (
-            status in RESTARTABLE_STATUSES
-            and state.attempt <= self.max_restarts
-            and not self._cancelling
-        ):
-            backoff = min(
-                self.backoff_base * (2 ** (state.attempt - 1)), self.backoff_cap
-            )
-            state.retry_at_ns = monotonic_ns() + int(backoff * 1e9)
-            return True
+        if outcome.attempts <= self.max_restarts and not self._standing_down:
+            backoff = min(self.backoff_base * (2 ** (outcome.attempts - 1)), self.backoff_cap)
+            worker.retry_at_ns = monotonic_ns() + int(backoff * 1e9)
+            return
         outcome.status = status
         for key, value in extra.items():
             setattr(outcome, key, value)
-        return False
 
     # -- message handling --------------------------------------------------
-    def _handle_message(self, state: _WorkerState, message: Tuple) -> None:
+    def _handle_message(self, worker: _Worker, message: Tuple) -> None:
+        if not worker.pending:
+            return  # nothing in flight: a stray message from a dying worker
+        request = worker.pending[0]
         kind = message[0]
-        outcome = self.outcomes[state.task.id]
         if kind == "started":
+            request.started = True
             return
         if kind == "heartbeat":
-            pid = None if state.process is None else state.process.pid
             self.collector.ingest_heartbeat(
-                state.task.label, pid, message[2], state.context
+                worker.label, worker.process.pid, message[2], request.context
             )
             return
         if kind == "telemetry":
             _, _, blob, digest = message
-            self.collector.ingest(state.task.label, state.context, blob, digest)
+            self.collector.ingest(worker.label, request.context, blob, digest)
             return
+        worker.pending.popleft()
+        self._settle(worker, request, message)
+        if worker.alive:
+            self._feed(worker)
+
+    def _settle(self, worker: _Worker, request: _Request, message: Tuple) -> None:
+        """File the worker's answer to ``request`` (``result`` or ``fail``)."""
+        kind = message[0]
+        outcome = self._current_outcome(worker) if request.seq == self._seq else None
         if kind == "result":
             _, _, payload, digest = message
             if hashlib.sha256(payload).hexdigest() != digest:
                 # Corrupted payload: discard without deserialising; the
-                # attempt is treated like a crash (restartable).
-                self._record_attempt_failure(state, "garbled")
+                # worker is rebuilt as after a crash.
+                self._attempt_failed(worker, "garbled")
                 return
+            if outcome is None:
+                return  # an answer to a request already decided or stood down
             outcome.status = "ok"
             outcome.result = pickle.loads(payload)
             outcome.history.append("ok")
-            outcome.late = self._cancelling
-            self._reap(state)
+            outcome.late = self._standing_down
             return
-        if kind == "fail":
-            _, _, error_kind, text, fields = message
-            status = _FAIL_STATUS.get(error_kind, "error")
-            if status in RESTARTABLE_STATUSES:
-                if self._record_attempt_failure(
-                    state, status, error_kind=error_kind, message=text, fields=dict(fields)
-                ):
-                    return
-            else:
-                outcome.status = status
-                outcome.history.append(status)
-            outcome.error_kind = error_kind
-            outcome.message = text
-            outcome.fields = dict(fields)
-            self._reap(state)
+        _, _, error_kind, text, fields = message
+        status = _FAIL_STATUS.get(error_kind, "error")
+        if status in RESTARTABLE_STATUSES:
+            self._attempt_failed(
+                worker, status, error_kind=error_kind, message=text, fields=dict(fields)
+            )
+            return
+        if outcome is None:
+            return
+        outcome.status = status
+        outcome.history.append(status)
+        outcome.error_kind = error_kind
+        outcome.message = text
+        outcome.fields = dict(fields)
 
-    def _drain(self, state: _WorkerState) -> bool:
-        """Pump all pending messages from one worker; returns liveness."""
-        saw_message = False
-        conn = state.conn
-        while conn is not None and state.conn is not None:
+    def _drain(self, worker: _Worker) -> None:
+        """Handle every message the worker has already sent."""
+        while worker.conn is not None:
+            conn = worker.conn
             try:
                 if not conn.poll(0):
-                    break
+                    return
                 message = conn.recv()
             except (EOFError, OSError):
-                break  # worker side closed; exit status decides the fate
-            saw_message = True
-            state.last_seen_ns = monotonic_ns()
-            self._handle_message(state, message)
-        return saw_message
+                return  # worker side closed; its sentinel decides its fate
+            worker.last_seen_ns = monotonic_ns()
+            self._handle_message(worker, message)
 
     # -- the supervision loop ----------------------------------------------
     def run(
@@ -525,139 +662,148 @@ class Supervisor:
         tasks: Sequence[WorkerTask],
         stop_when: Optional[Callable[[Dict[str, TaskOutcome]], bool]] = None,
     ) -> Dict[str, TaskOutcome]:
-        """Supervise ``tasks`` to completion (or early ``stop_when`` exit).
+        """Send each task to its worker and supervise until all are decided
+        (or ``stop_when`` holds, which stands the rest down).
 
-        Always returns with every worker process dead and reaped — the
-        all-paths-terminate guarantee the chaos property tests pin down.
+        Returns with every outcome decided; the workers stay alive for the
+        next run until :meth:`shutdown`.  On any exception (Ctrl-C
+        included) the pool is torn down before it propagates.
         """
         seen_ids = set()
         for task in tasks:
             if task.id in seen_ids:
                 raise ValueError("duplicate task id %r" % task.id)
             seen_ids.add(task.id)
-            self.outcomes[task.id] = TaskOutcome(task.id, task.label)
-            self._states[task.id] = _WorkerState(task)
+        self._seq += 1
+        self._standing_down = False
+        self._tasks = {task.id: task for task in tasks}
+        self.outcomes = {task.id: TaskOutcome(task.id, task.label) for task in tasks}
+        self.collector = _collect.TelemetryCollector()
+        # Captured per run, at the launch site: whatever span is open right
+        # now (for a portfolio race, the ``portfolio.race`` span) becomes the
+        # parent of this run's re-ingested worker spans.
+        self._context = _collect.TraceContext.capture()
         try:
-            for state in self._states.values():
-                self._launch(state)
+            now = monotonic_ns()
+            for worker in self._workers.values():
+                worker.last_seen_ns = now  # silence between runs is not a hang
+            for task in tasks:
+                self._send(task)
             while True:
-                progressed = self._poll_once()
                 if stop_when is not None and stop_when(self.outcomes):
-                    # Early exit: stand the stragglers down cooperatively
-                    # (with the grace window, so a loser that already
-                    # finished can still deliver a disagreeing verdict).
-                    self.cancel_stragglers()
+                    self._stand_down()
                     break
-                if not any(self._is_open(s) for s in self._states.values()):
+                if all(outcome.status != "pending" for outcome in self.outcomes.values()):
                     break
-                if not progressed:
-                    time.sleep(self.poll_interval)
-        finally:
+                self._pump()
+        except BaseException:
             self.shutdown()
+            raise
         return self.outcomes
 
-    def _is_open(self, state: _WorkerState) -> bool:
-        return state.process is not None or state.retry_at_ns is not None
-
-    def _poll_once(self) -> bool:
-        progressed = False
-        now = monotonic_ns()
+    def _pump(self, until_ns: Optional[int] = None) -> None:
+        """Block until a message, a worker death, or the next deadline
+        (``until_ns``, a restart backoff, or a hang timeout), then act on it."""
         hang_ns = int(self.hang_timeout * 1e9)
-        for state in self._states.values():
-            if state.process is None:
-                if state.retry_at_ns is not None and now >= state.retry_at_ns:
-                    self._launch(state)
-                    progressed = True
-                continue
-            if self._drain(state):
-                progressed = True
-            if state.process is None:
-                continue  # a drained message finished the task
-            if not state.process.is_alive():
-                # Final drain: the worker may have sent its result and died
-                # before we read it.
-                self._drain(state)
-                if state.process is None:
-                    progressed = True
-                    continue
-                exitcode = state.process.exitcode
-                self._record_attempt_failure(state, "crashed", exitcode=exitcode)
-                progressed = True
-            elif monotonic_ns() - state.last_seen_ns > hang_ns:
-                self._kill(state)
-                self._record_attempt_failure(state, "hung")
-                progressed = True
-        return progressed
-
-    def _kill(self, state: _WorkerState) -> None:
-        process = state.process
-        if process is None:
-            return
-        process.terminate()
-        process.join(timeout=0.5)
-        if process.is_alive():  # pragma: no cover - SIGTERM blocked
-            process.kill()
-            process.join(timeout=0.5)
+        wake = [] if until_ns is None else [until_ns]
+        handles: Dict[Any, _Worker] = {}
+        for worker in self._workers.values():
+            if worker.retry_at_ns is not None:
+                wake.append(worker.retry_at_ns)
+            if worker.alive:
+                handles[worker.conn] = worker
+                handles[worker.process.sentinel] = worker
+                if worker.pending:
+                    wake.append(worker.last_seen_ns + hang_ns)
+        timeout = None
+        if wake:
+            timeout = max(0, min(wake) - monotonic_ns()) / 1e9
+        elif not handles:
+            return  # pragma: no cover - nothing to wait for
+        for ready in multiprocessing.connection.wait(list(handles), timeout):
+            worker = handles[ready]
+            if not worker.alive:
+                continue  # retired earlier in this batch
+            self._drain(worker)
+            if ready is not worker.conn and worker.alive:
+                # The sentinel fired: the process is gone (a worker only
+                # exits on its own when told to, which runs never do).
+                worker.process.join(timeout=1.0)
+                self._attempt_failed(worker, "crashed", exitcode=worker.process.exitcode)
+        now = monotonic_ns()
+        for worker in list(self._workers.values()):
+            if worker.retry_at_ns is not None and now >= worker.retry_at_ns:
+                if self._current_outcome(worker) is not None:
+                    self._send(self._tasks[worker.task_id])
+                else:
+                    worker.retry_at_ns = None
+            elif worker.pending and worker.alive and now - worker.last_seen_ns > hang_ns:
+                self._attempt_failed(worker, "hung")
 
     # -- cancellation and teardown -----------------------------------------
-    def cancel_stragglers(self) -> None:
-        """Ask every still-running worker to stand down cooperatively.
-
-        Workers get ``grace`` seconds to act on their cancellation token —
-        long enough for one that already finished solving to deliver its
-        (possibly disagreeing) result — then are terminated.  Pending
-        backoff restarts are abandoned.
-        """
-        self._cancelling = True
+    def _cancel_in_flight(self, wait_for: Callable[[_Worker], bool]) -> None:
+        """Cancel every request sent so far, abandon pending restarts, and
+        give the workers ``wait_for`` selects ``grace`` seconds to answer."""
+        self._standing_down = True
+        if self._cancelled is not None:
+            self._cancelled.value = self._seq
+        for worker in self._workers.values():
+            worker.retry_at_ns = None
         deadline = monotonic_ns() + int(self.grace * 1e9)
-        for state in self._states.values():
-            state.retry_at_ns = None
-            if state.cancel is not None and state.process is not None:
-                state.cancel.set()
-        while monotonic_ns() < deadline:
-            if not any(state.process is not None for state in self._states.values()):
-                break
-            if not self._poll_once():
-                time.sleep(self.poll_interval)
-        for state in self._states.values():
-            if state.process is not None:
-                self._kill(state)
-                outcome = self.outcomes[state.task.id]
-                if outcome.status == "pending":
-                    outcome.status = "cancelled"
-                    outcome.history.append("cancelled")
-                self._reap(state)
+        while monotonic_ns() < deadline and any(map(wait_for, self._workers.values())):
+            self._pump(until_ns=deadline)
 
-    def shutdown(self) -> None:
-        """Unconditional teardown: no worker survives this call."""
-        self._cancelling = True
-        for state in self._states.values():
-            state.retry_at_ns = None
-            if state.cancel is not None:
-                state.cancel.set()
-            if state.process is not None:
-                # One last drain so a finished-but-unread result is kept.
-                self._drain(state)
-            if state.process is not None:
-                self._kill(state)
-            self._reap(state)
+    def _stand_down(self) -> None:
+        """Cancel this run's undecided requests.
+
+        Workers that already started the request get ``grace`` seconds to
+        act on the cancellation — long enough for one that already finished
+        solving to deliver its (possibly disagreeing) result.  Workers that
+        have not started it (still busy with an earlier request or their
+        build) are recorded as cancelled at once and left running: they
+        acknowledge the cancellation when they reach it and stay warm for
+        the next run.
+        """
+        self._cancel_in_flight(
+            lambda worker: self._current_outcome(worker) is not None
+            and worker.busy
+            and worker.pending[0].seq == self._seq
+            and worker.pending[0].started
+        )
+        self._cancel_undecided()
+
+    def _cancel_undecided(self) -> None:
         for outcome in self.outcomes.values():
-            # Anything still undecided (killed mid-run or torn down while
-            # waiting out a restart backoff) was cancelled.
             if outcome.status == "pending":
                 outcome.status = "cancelled"
                 outcome.history.append("cancelled")
+
+    def shutdown(self) -> None:
+        """Teardown: no worker survives this call.
+
+        Every request still in flight is cancelled, and busy workers get
+        ``grace`` seconds to acknowledge — which flushes their telemetry
+        home — before every worker is terminated.
+        """
+        for worker in self._workers.values():
+            while len(worker.pending) > 1:
+                worker.pending.pop()  # queued, never sent: nothing to wait for
+        self._cancel_in_flight(lambda worker: worker.busy)
+        for worker in self._workers.values():
+            if worker.alive:
+                # One last drain so a finished-but-unread result is kept.
+                self._drain(worker)
+            _retire(worker)
+        self._cancel_undecided()
         _LIVE_SUPERVISORS.discard(self)
 
     def live_pids(self) -> List[int]:
         """PIDs of still-alive workers (empty after shutdown — pinned by tests)."""
-        pids = []
-        for state in self._states.values():
-            if state.process is not None and state.process.is_alive():
-                pid = state.process.pid
-                if pid is not None:
-                    pids.append(pid)
-        return pids
+        return [
+            worker.process.pid
+            for worker in self._workers.values()
+            if worker.alive and worker.process.is_alive()
+        ]
 
     def __enter__(self) -> "Supervisor":
         return self

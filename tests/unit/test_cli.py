@@ -1,5 +1,7 @@
 """Unit tests for the ``python -m repro`` command-line interface."""
 
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -532,6 +534,65 @@ def test_portfolio_trace_spans_processes_and_repro_obs_reads_it(
     [autopsy] = payload["portfolio"]
     assert autopsy["winner"]
     assert len(autopsy["engines"]) >= 2
+
+
+def test_portfolio_check_leaves_no_worker_behind(capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    exit_code = main(
+        ["--engine", "portfolio", "--system", "ring", "--size", "3", "--workers", "2"]
+    )
+    assert exit_code == 0
+    assert "won by" in capsys.readouterr().out
+    assert not multiprocessing.active_children()
+
+
+def _pid_alive(pid):
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+_UNCLOSED_PORTFOLIO = """
+from repro.runtime.chaos import ChaosConfig
+from repro.runtime.portfolio import PortfolioModelChecker, builder_source
+from repro.systems.mutex import mutex_safety
+
+module = "repro.systems.mutex"
+sources = {
+    "bitset": builder_source(module, "build_mutex", 4),
+    "bdd": builder_source(module, "symbolic_mutex", 4),
+    "bmc": builder_source(module, "symbolic_mutex", 4, domain="free"),
+    "ic3": builder_source(module, "symbolic_mutex", 4, domain="free"),
+}
+checker = PortfolioModelChecker(sources=sources, chaos=ChaosConfig())
+print(checker.check(mutex_safety(4)))
+print(*checker._supervisor.live_pids())
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_a_script_that_never_closes_the_portfolio_exits_promptly():
+    """Workers are daemons: a script that never calls close() exits within
+    seconds, and no worker survives it holding its stdout pipe (reading
+    stdout to EOF would otherwise block past the timeout)."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("REPRO_CHAOS", None)
+    completed = subprocess.run(
+        [sys.executable, "-c", _UNCLOSED_PORTFOLIO],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert completed.returncode == 0, completed.stderr
+    verdict, pids = completed.stdout.splitlines()
+    assert verdict == "True"
+    assert pids, "the portfolio never forked its workers"
+    assert not [pid for pid in map(int, pids.split()) if _pid_alive(pid)]
 
 
 def test_buggy_flag_refutes_the_seeded_bug(capsys):

@@ -11,6 +11,7 @@ worker process.
 import contextlib
 import multiprocessing
 import signal
+import time
 
 import pytest
 
@@ -23,7 +24,9 @@ from repro.errors import (
     ModelCheckingError,
     ReproError,
 )
+from repro.logic.builders import EX, lnot, true
 from repro.mc.bitset import make_ctl_checker
+from repro.obs.metrics import REGISTRY
 from repro.runtime.chaos import ChaosConfig
 from repro.runtime.portfolio import (
     DEFAULT_RACE_ENGINES,
@@ -199,41 +202,138 @@ def _mutex_sources(size, buggy=False):
     }
 
 
+def _assert_no_leak():
+    assert not multiprocessing.active_children(), "a worker process outlived close()"
+
+
 class TestRaces:
     def test_structure_race_matches_the_bitset_oracle(self):
         structure = build_mutex(3)
         formula = mutex_safety(3)
         oracle = make_ctl_checker(structure, engine="bitset").check(formula)
-        checker = PortfolioModelChecker(
+        with PortfolioModelChecker(
             structure=structure, engines=("bitset", "bdd"), chaos=_NO_CHAOS
-        )
-        with _hard_timeout(60):
-            verdict = checker.check(formula)
+        ) as checker:
+            with _hard_timeout(60):
+                verdict = checker.check(formula)
         assert verdict is True
         assert bool(oracle) is True
         assert checker.last_detail.startswith("won by ")
         assert set(checker.last_outcomes) == {"bitset", "bdd"}
-        assert not multiprocessing.active_children()
+        _assert_no_leak()
 
     def test_natural_encoding_race_refutes_the_buggy_mutex(self):
-        checker = PortfolioModelChecker(
+        with PortfolioModelChecker(
             sources=_mutex_sources(3, buggy=True), bound=8, chaos=_NO_CHAOS
-        )
-        assert checker.engines == DEFAULT_RACE_ENGINES
-        with _hard_timeout(120):
-            verdict = checker.check(mutex_safety(3))
+        ) as checker:
+            assert checker.engines == DEFAULT_RACE_ENGINES
+            with _hard_timeout(120):
+                verdict = checker.check(mutex_safety(3))
         assert verdict is False
-        assert not multiprocessing.active_children()
+        _assert_no_leak()
 
     def test_check_batch_races_each_formula(self):
         structure = build_mutex(2)
         formulas = {"safety": mutex_safety(2)}
-        checker = PortfolioModelChecker(
+        with PortfolioModelChecker(
             structure=structure, engines=("bitset",), chaos=_NO_CHAOS
+        ) as checker:
+            with _hard_timeout(60):
+                results = checker.check_batch(formulas)
+        assert results == {"safety": True}
+        _assert_no_leak()
+
+
+def _slow_build_mutex(size, delay, buggy=False):
+    """A builder that takes ``delay`` seconds without a single checkpoint."""
+    time.sleep(delay)
+    return build_mutex(size, buggy=buggy)
+
+
+def _slow_bitset_sources(delay):
+    """bitset behind a slow build, racing bmc on the buggy 3-process mutex.
+
+    bmc refutes the safety invariant within milliseconds but rejects
+    ``EX true`` as outside its fragment, which only bitset then decides.
+    """
+    return {
+        "bitset": builder_source(__name__, "_slow_build_mutex", 3, delay, buggy=True),
+        "bmc": builder_source(
+            "repro.systems.mutex", "symbolic_mutex", 3, buggy=True, domain="free"
+        ),
+    }
+
+
+def _counter_value(name, **labels):
+    key = name + "{%s}" % ",".join("%s=%s" % item for item in sorted(labels.items()))
+    return REGISTRY.snapshot().get(key if labels else name, 0)
+
+
+class TestWorkerLifetime:
+    """One worker per engine for the checker's life, not one per formula."""
+
+    def test_check_batch_launches_one_worker_per_engine(self):
+        formulas = {"safety": mutex_safety(3), "step": EX(true()), "again": mutex_safety(3)}
+        before = {
+            name: _counter_value("worker.launched", task=name) for name in ("bitset", "bdd")
+        }
+        races = _counter_value("portfolio.races")
+        with PortfolioModelChecker(
+            structure=build_mutex(3), engines=("bitset", "bdd"), chaos=_NO_CHAOS
+        ) as checker:
+            with _hard_timeout(60):
+                verdicts = checker.check_batch(formulas)
+        assert verdicts == {"safety": True, "step": True, "again": True}
+        assert _counter_value("portfolio.races") - races == 3
+        for name in ("bitset", "bdd"):
+            assert _counter_value("worker.launched", task=name) - before[name] == 1
+            assert _counter_value("worker.restarts", task=name) == 0
+        _assert_no_leak()
+
+    def test_a_loser_stood_down_on_one_formula_answers_the_next(self):
+        with PortfolioModelChecker(
+            sources=_slow_bitset_sources(0.5), bound=8, chaos=_NO_CHAOS
+        ) as checker:
+            with _hard_timeout(60):
+                assert checker.check(mutex_safety(3)) is False
+                assert checker.last_detail.startswith("won by bmc")
+                assert checker.last_outcomes["bitset"] == "cancelled"
+                assert checker.check(EX(true())) is True
+                assert checker.last_outcomes["bitset"] == "ok"
+                assert checker.last_outcomes["bmc"].startswith("fragment")
+        _assert_no_leak()
+
+    def test_a_slow_builder_is_not_killed_and_wins_a_later_formula(self):
+        launched = _counter_value("worker.launched", task="bitset")
+        with PortfolioModelChecker(
+            sources=_slow_bitset_sources(1.0), bound=8, chaos=_NO_CHAOS, grace=0.25
+        ) as checker:
+            with _hard_timeout(60):
+                start = time.monotonic()
+                assert checker.check(mutex_safety(3)) is False
+                # The race neither waited out the build nor the grace window.
+                assert time.monotonic() - start < 0.9
+                pids = checker._supervisor.live_pids()
+                assert len(pids) == 2, "the building loser must stay alive"
+                assert checker.check(EX(true())) is True
+                assert checker.last_detail == "won by bitset"
+                assert checker._supervisor.live_pids() == pids
+        assert _counter_value("worker.launched", task="bitset") - launched == 1
+        assert _counter_value("worker.restarts", task="bitset") == 0
+        _assert_no_leak()
+
+    def test_close_is_idempotent_and_a_later_check_forks_again(self):
+        checker = PortfolioModelChecker(
+            structure=build_mutex(2), engines=("bitset",), chaos=_NO_CHAOS
         )
         with _hard_timeout(60):
-            results = checker.check_batch(formulas)
-        assert results == {"safety": True}
+            assert checker.check(mutex_safety(2)) is True
+            checker.close()
+            checker.close()
+            _assert_no_leak()
+            assert checker.check(mutex_safety(2)) is True
+        checker.close()
+        _assert_no_leak()
 
 
 #: Seeded fault schedules for the never-wrong/never-deadlock property.
@@ -255,10 +355,14 @@ _CHAOS_RATES = {"kill": 0.4, "hang": 0.3, "garble": 0.3}
 def test_chaos_is_never_wrong_and_never_deadlocks(seed, builder, size, buggy, formula_factory):
     """Satellite property: under seeded chaos the portfolio verdict equals
     the bitset oracle's or fails with a typed ReproError — wrong-and-confident
-    is the one outcome that must not exist."""
+    is the one outcome that must not exist.  A multi-formula batch runs on
+    the same workers, so a restart mid-run (rebuild, then resend the formula
+    in flight) is covered too."""
     structure = builder(size, buggy=buggy)
     formula = formula_factory(size)
-    oracle = make_ctl_checker(structure, engine="bitset").check(formula)
+    formulas = {"first": formula, "negated": lnot(formula), "again": formula}
+    oracle = make_ctl_checker(structure, engine="bitset")
+    expected = {name: oracle.check(f) for name, f in formulas.items()}
     checker = PortfolioModelChecker(
         structure=structure,
         engines=("bitset", "bdd"),
@@ -269,11 +373,13 @@ def test_chaos_is_never_wrong_and_never_deadlocks(seed, builder, size, buggy, fo
     )
     with _hard_timeout(90):
         try:
-            verdict = checker.check(formula)
+            verdicts = checker.check_batch(formulas)
         except ReproError:
             # An honest, typed failure is an acceptable chaos outcome;
             # the provenance must still name every raced engine's fate.
             assert set(checker.last_outcomes) == {"bitset", "bdd"}
         else:
-            assert verdict == oracle
+            assert verdicts == expected
+        finally:
+            checker.close()
     assert not multiprocessing.active_children(), "chaos leaked a worker process"
