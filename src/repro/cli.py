@@ -62,15 +62,12 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.timing import timed_call
-from repro.mc.bitset import ENGINE_NAMES
+from repro.mc.bitset import ENGINE_NAMES, SAT_ENGINES
 
 __all__ = ["main", "build_parser"]
 
 #: The system families the CLI can check, in presentation order.
 SYSTEM_NAMES = ("ring", "mutex", "counter")
-
-#: The engines that reject fairness-constrained semantics (SAT-based).
-_SAT_ENGINES = ("bmc", "ic3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +360,7 @@ def _run_check(
         structure = built.value
         checker = SymbolicCTLModelChecker(structure, fairness=constraint)
         descriptor = "direct symbolic encoding"
-    elif engine in _SAT_ENGINES:
+    elif engine in SAT_ENGINES:
         # The free domain skips the symbolic reachability fixpoint — the
         # whole point of the SAT engines is that the bound (bmc) or the
         # discovered invariant (ic3), not the reachable set, pays.
@@ -412,7 +409,7 @@ def _run_check(
         print("  workers     : %d" % len(checker.engines), file=out)
         if budget is not None:
             print("  budget      : %s" % budget.as_dict(), file=out)
-    elif engine in _SAT_ENGINES:
+    elif engine in SAT_ENGINES:
         # No reachability fixpoint ran, so state counts are not available.
         print("  state bits  : %d" % structure.num_bits, file=out)
     else:
@@ -422,10 +419,9 @@ def _run_check(
     print("", file=out)
     print("  %-34s %-8s %s" % ("check", "verdict", "seconds"), file=out)
     all_hold = True
-    skipped = []
-    inconclusive = []
-    exhausted = []
-    crashed = []
+    # (name, verdict text) of every property no engine decided; an undecided
+    # property is not a violation — the exit code reflects what was decided.
+    undecided = []
     phases = [{"name": "build", "seconds": built.seconds}]
     # For the in-process engines a budget is enforced at their cooperative
     # checkpoints; the portfolio hands it to the workers instead.
@@ -444,52 +440,40 @@ def _run_check(
             try:
                 checked = timed_call(checker.check, formula)
             except FragmentError:
-                skipped.append(name)
+                undecided.append((name, "skipped (outside the %s fragment)" % engine))
                 continue
             except InconclusiveError:
-                # Like a fragment skip: the engine could not decide, which is
-                # not a violation — the exit code only reflects what was
-                # decided.
-                inconclusive.append(name)
+                undecided.append((name, "INCONCLUSIVE (raise --bound)"))
                 continue
             except BudgetExceededError as error:
-                exhausted.append((name, error))
+                undecided.append((name, "BUDGET EXHAUSTED (%s)" % error.resource))
                 continue
             except EngineCrashError as error:
-                crashed.append((name, error))
+                undecided.append((name, "CRASHED (%s)" % error))
                 continue
             all_hold = all_hold and checked.value
             phases.append({"name": "check %s" % name, "seconds": checked.seconds})
             verdict = str(checked.value)
-            if engine in _SAT_ENGINES and checker.last_detail:
-                verdict = "%s (%s)" % (checked.value, checker.last_detail)
-            elif engine == "portfolio" and checker.last_detail:
+            if (engine in SAT_ENGINES or engine == "portfolio") and checker.last_detail:
                 verdict = "%s (%s)" % (checked.value, checker.last_detail)
             print("  %-34s %-8s %.4f" % (name, verdict, checked.seconds), file=out)
-    for name in skipped:
-        print(
-            "  %-34s %-8s" % (name, "skipped (outside the %s fragment)" % engine),
-            file=out,
-        )
-    for name in inconclusive:
-        print("  %-34s %-8s" % (name, "INCONCLUSIVE (raise --bound)"), file=out)
-    for name, error in exhausted:
-        print(
-            "  %-34s %-8s" % (name, "BUDGET EXHAUSTED (%s)" % error.resource),
-            file=out,
-        )
-    for name, error in crashed:
-        print("  %-34s %-8s" % (name, "CRASHED (%s)" % error), file=out)
+    for name, verdict in undecided:
+        print("  %-34s %-8s" % (name, verdict), file=out)
     print("", file=out)
-    checked_what = (
-        "checked properties and invariants"
-        if skipped or inconclusive or exhausted or crashed
-        else "all properties and invariants"
-    )
-    if all_hold:
-        print("  %s hold on %s" % (checked_what, label), file=out)
+    counts = "decided %d, undecided %d" % (len(family) - len(undecided), len(undecided))
+    if not all_hold:
+        print(
+            "  FAILURE: some property/invariant is violated on %s (%s)" % (label, counts),
+            file=out,
+        )
+    elif len(undecided) == len(family):
+        # Nothing was decided, so nothing can be said to hold; not a failure.
+        print("  no property or invariant was decided on %s (%s)" % (label, counts), file=out)
     else:
-        print("  FAILURE: some property/invariant is violated on %s" % label, file=out)
+        checked_what = (
+            "checked properties and invariants" if undecided else "all properties and invariants"
+        )
+        print("  %s hold on %s (%s)" % (checked_what, label, counts), file=out)
     if profile:
         import json
 
@@ -510,7 +494,7 @@ def _run_check(
             payload["portfolio"] = dict(checker.last_outcomes)
         if engine == "bdd":
             payload["bdd"] = structure.manager.stats().as_dict()
-        if engine in _SAT_ENGINES:
+        if engine in SAT_ENGINES:
             payload["bdd"] = structure.manager.stats().as_dict()
             payload["sat"] = checker.stats()
             if engine == "bmc":
@@ -607,7 +591,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.size < 1:
         print("error: --size (--ring-size) must be at least 1", file=sys.stderr)
         return 2
-    if args.bound is not None and args.engine not in _SAT_ENGINES + ("portfolio",):
+    if args.bound is not None and args.engine not in SAT_ENGINES + ("portfolio",):
         print(
             "error: --bound only applies to the SAT engines or the portfolio "
             "(where it caps its SAT members)",
@@ -620,7 +604,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.engine == "ic3" and args.bound is not None and args.bound < 1:
         print("error: the ic3 frame ceiling must be positive", file=sys.stderr)
         return 2
-    if args.engine in _SAT_ENGINES and args.fairness:
+    if args.engine in SAT_ENGINES and args.fairness:
         print(
             "error: the SAT engines (bmc, ic3) do not implement fairness-"
             "constrained semantics; use bitset, naive, or bdd",
@@ -654,7 +638,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     if args.experiments:
-        if args.engine in _SAT_ENGINES or args.engine == "portfolio":
+        if args.engine in SAT_ENGINES or args.engine == "portfolio":
             print(
                 "error: the experiment suite sweeps the full-CTL engines; the "
                 "SAT stories are replayed as E12/E13 under any of them",

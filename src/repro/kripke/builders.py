@@ -1,20 +1,63 @@
 """Incremental builders for Kripke structures.
 
 The builders exist so that example systems and tests can describe structures
-state by state without assembling the full dictionaries by hand, and so that
-structures generated by exploration (e.g. the token ring of Section 5) can be
-accumulated and then frozen into an immutable structure.
+state by state without assembling the full dictionaries by hand, and
+:func:`build_reachable` is the one reachable-state exploration that every
+explicit process family (the Section 5 token ring, the mutex and counter
+families, and template compositions) freezes into an indexed structure.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from repro.errors import StructureError
+from repro.errors import ReproError, StructureError
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import KripkeStructure, Label, State
 
-__all__ = ["KripkeBuilder", "IndexedKripkeBuilder"]
+__all__ = ["KripkeBuilder", "IndexedKripkeBuilder", "build_reachable"]
+
+
+def build_reachable(
+    initial: State,
+    successors: Callable[[State], List[State]],
+    label: Callable[[State], Iterable[Label]],
+    index_values: Iterable[int],
+    name: Optional[str],
+    overflow: Callable[[int], ReproError],
+    max_states: Optional[int] = None,
+    indexed_prop_names: Optional[Iterable[str]] = None,
+) -> IndexedKripkeStructure:
+    """Explore the states reachable from ``initial`` and freeze them into a structure.
+
+    Depth-first over ``successors``; each state is labelled by ``label``.
+    When the exploration finds more than ``max_states`` states it raises
+    ``overflow(max_states)``, so every caller keeps its own error type and
+    message.
+    """
+    states = {initial}
+    transitions: Dict[State, List[State]] = {}
+    frontier = [initial]
+    while frontier:
+        current = frontier.pop()
+        targets = successors(current)
+        transitions[current] = targets
+        for target in targets:
+            if target not in states:
+                states.add(target)
+                frontier.append(target)
+                if max_states is not None and len(states) > max_states:
+                    raise overflow(max_states)
+    labeling = {state: label(state) for state in states}
+    return IndexedKripkeStructure(
+        states,
+        transitions,
+        labeling,
+        initial,
+        index_values=index_values,
+        indexed_prop_names=indexed_prop_names,
+        name=name,
+    )
 
 
 class KripkeBuilder:

@@ -76,7 +76,7 @@ from repro.logic.ast import (
     TrueLiteral,
 )
 
-__all__ = ["SymbolicKripkeStructure", "ProcessFamilyEncoding", "symbolic_structure"]
+__all__ = ["SymbolicKripkeStructure", "ProcessFamilyEncoding", "family_domain", "symbolic_structure"]
 
 #: Chunk size for partitioning the transition relation of explicit encodings.
 _EXPLICIT_PARTITION_CHUNK = 256
@@ -182,7 +182,6 @@ class SymbolicKripkeStructure:
         encode_assignment: Optional[Callable[[State], Dict[int, bool]]] = None,
         decode_assignment: Optional[Callable[[Mapping[int, bool]], State]] = None,
         name: Optional[str] = None,
-        cluster_node_cap: int = _CLUSTER_NODE_CAP,
     ) -> None:
         if num_bits < 1:
             raise StructureError("a symbolic structure needs at least one state bit")
@@ -190,85 +189,55 @@ class SymbolicKripkeStructure:
         # is one "build.encode" span, so traces show where setup time goes
         # before any check starts.
         with _obs_span("build.encode") as sp:
-            self._initialise(
-                manager,
-                num_bits,
-                transition_parts,
-                initial,
-                domain,
-                prop_nodes,
-                index_values,
-                source,
-                encode_assignment,
-                decode_assignment,
-                name,
-                cluster_node_cap,
-            )
+            self.manager = manager
+            self._num_bits = num_bits
+            self._current_vars = tuple(2 * bit for bit in range(num_bits))
+            self._next_vars = tuple(2 * bit + 1 for bit in range(num_bits))
+            self._c2n = {2 * bit: 2 * bit + 1 for bit in range(num_bits)}
+            self._n2c = {2 * bit + 1: 2 * bit for bit in range(num_bits)}
+            for var in self._current_vars + self._next_vars:
+                manager.var(var)
+            # Keep every current/next pair a sifting block so the c2n/n2c renames
+            # stay order-preserving under any dynamic reorder.  Groups already
+            # registered on a *shared* manager (another encoding's pairs) are
+            # preserved by merging them into the request; a manager that was
+            # already reordered incompatibly simply keeps its existing blocks.
+            pairs = {(2 * bit, 2 * bit + 1) for bit in range(num_bits)}
+            mine = {var for pair in pairs for var in pair}
+            for group in manager.variable_groups():
+                if not mine.intersection(group):
+                    pairs.add(tuple(group))
+            try:
+                manager.set_variable_groups(sorted(pairs))
+            except BDDError:  # pragma: no cover - shared-manager corner case
+                pass
+            self._clusters = self._build_clusters(transition_parts)
+            self._initial = BDDFunction(manager, initial)
+            self._true = BDDFunction.true(manager)
+            self._false = BDDFunction.false(manager)
+            if domain is None:
+                self._domain: Optional[BDDFunction] = None
+                self._domain = self._reachable_fn()
+            else:
+                self._domain = BDDFunction(manager, domain)
+            self._prop_nodes: Dict[Label, BDDFunction] = {
+                label: BDDFunction(manager, node) for label, node in prop_nodes.items()
+            }
+            self._index_values = index_values
+            self._source = source
+            self._encode_assignment = encode_assignment
+            self._decode_assignment = decode_assignment
+            self._name = name
+            self._exactly_one_nodes: Dict[str, BDDFunction] = {}
+            self._transition_total: Optional[BDDFunction] = None
             sp.set(name=name, bits=num_bits, clusters=len(self._clusters))
         _metrics.gauge("build.state_bits").set(num_bits)
         _metrics.gauge("build.clusters").set(len(self._clusters))
 
-    def _initialise(
-        self,
-        manager,
-        num_bits,
-        transition_parts,
-        initial,
-        domain,
-        prop_nodes,
-        index_values,
-        source,
-        encode_assignment,
-        decode_assignment,
-        name,
-        cluster_node_cap,
-    ) -> None:
-        self.manager = manager
-        self._num_bits = num_bits
-        self._current_vars = tuple(2 * bit for bit in range(num_bits))
-        self._next_vars = tuple(2 * bit + 1 for bit in range(num_bits))
-        self._c2n = {2 * bit: 2 * bit + 1 for bit in range(num_bits)}
-        self._n2c = {2 * bit + 1: 2 * bit for bit in range(num_bits)}
-        for var in self._current_vars + self._next_vars:
-            manager.var(var)
-        # Keep every current/next pair a sifting block so the c2n/n2c renames
-        # stay order-preserving under any dynamic reorder.  Groups already
-        # registered on a *shared* manager (another encoding's pairs) are
-        # preserved by merging them into the request; a manager that was
-        # already reordered incompatibly simply keeps its existing blocks.
-        pairs = {(2 * bit, 2 * bit + 1) for bit in range(num_bits)}
-        mine = {var for pair in pairs for var in pair}
-        for group in manager.variable_groups():
-            if not mine.intersection(group):
-                pairs.add(tuple(group))
-        try:
-            manager.set_variable_groups(sorted(pairs))
-        except BDDError:  # pragma: no cover - shared-manager corner case
-            pass
-        self._clusters = self._build_clusters(transition_parts, cluster_node_cap)
-        self._initial = BDDFunction(manager, initial)
-        self._true = BDDFunction.true(manager)
-        self._false = BDDFunction.false(manager)
-        if domain is None:
-            self._domain: Optional[BDDFunction] = None
-            self._domain = self._reachable_fn()
-        else:
-            self._domain = BDDFunction(manager, domain)
-        self._prop_nodes: Dict[Label, BDDFunction] = {
-            label: BDDFunction(manager, node) for label, node in prop_nodes.items()
-        }
-        self._index_values = index_values
-        self._source = source
-        self._encode_assignment = encode_assignment
-        self._decode_assignment = decode_assignment
-        self._name = name
-        self._exactly_one_nodes: Dict[str, BDDFunction] = {}
-        self._transition_total: Optional[BDDFunction] = None
-
     # -- cluster construction ------------------------------------------------
 
     def _build_clusters(
-        self, transition_parts: Sequence[TransitionPart], cap: int
+        self, transition_parts: Sequence[TransitionPart]
     ) -> Tuple[_Cluster, ...]:
         manager = self.manager
         singles: List[int] = []
@@ -288,7 +257,7 @@ class SymbolicKripkeStructure:
                 flat = conjuncts[0]
                 for conjunct in conjuncts[1:]:
                     flat = manager.apply_and(flat, conjunct)
-                    if flat != 0 and manager.node_count(flat) > cap:
+                    if flat != 0 and manager.node_count(flat) > _CLUSTER_NODE_CAP:
                         flat = None
                         break
                 if flat is None:
@@ -297,14 +266,14 @@ class SymbolicKripkeStructure:
                 conjuncts = (flat,)
             if conjuncts[0] != 0:
                 singles.append(conjuncts[0])
-        # OR-merge small single-BDD parts into clusters bounded by `cap`
-        # nodes, ordered by support so related parts land together.
+        # OR-merge small single-BDD parts into clusters bounded by the node
+        # cap, ordered by support so related parts land together.
         singles.sort(key=lambda edge: tuple(sorted(manager.support(edge))))
         merged: List[int] = []
         accumulator = 0
         for edge in singles:
             candidate = manager.apply_or(accumulator, edge)
-            if accumulator != 0 and manager.node_count(candidate) > cap:
+            if accumulator != 0 and manager.node_count(candidate) > _CLUSTER_NODE_CAP:
                 merged.append(accumulator)
                 accumulator = edge
             else:
@@ -692,14 +661,28 @@ def symbolic_structure(structure: KripkeStructure) -> SymbolicKripkeStructure:
     return cached
 
 
+def family_domain(domain: str) -> Optional[int]:
+    """The ``domain`` argument for a direct encoding's ``domain=`` option.
+
+    ``"reachable"`` maps to ``None``: the states reachable from the initial
+    state, computed symbolically at build time (what fixpoint engines want).
+    ``"free"`` maps to ``1``, the true function: every bit pattern is a
+    state and no fixpoint runs (what the SAT engines unroll).
+    """
+    if domain not in ("reachable", "free"):
+        raise StructureError("domain must be 'reachable' or 'free', got %r" % (domain,))
+    return None if domain == "reachable" else 1
+
+
 class ProcessFamilyEncoding:
     """Bit-block allocator for encoding a synchronized process family directly.
 
     Each process of the family gets ``ceil(log2(len(parts)))`` state bits
     encoding which *part* (local situation) it is in; the caller then writes
     the family's global transition rules as BDDs over the per-process
-    current/next literals this class hands out, without ever constructing the
-    explicit product graph.  Every cached literal is externally referenced,
+    current/next literals this class hands out (:meth:`local_move` is the
+    common rule in which one process changes part), without ever constructing
+    the explicit product graph.  Every cached literal is externally referenced,
     so the construction is safe across garbage collections.  See
     :func:`repro.systems.token_ring.symbolic_token_ring` for the canonical
     usage.
@@ -789,6 +772,32 @@ class ProcessFamilyEncoding:
         node = 0
         for part in parts:
             node = self.manager.apply_or(node, self.current(index, part))
+        return node
+
+    def prop_nodes(self, part_props: Mapping[str, Sequence[str]]) -> Dict[Label, int]:
+        """The indexed propositions' characteristic functions, per process.
+
+        ``part_props`` maps a part to the names of the indexed propositions
+        a process in that part satisfies: ``name_i`` holds wherever process
+        ``i`` is in a part carrying ``name``.
+        """
+        carriers: Dict[str, List[str]] = {}
+        for part, names in part_props.items():
+            for name in names:
+                carriers.setdefault(name, []).append(part)
+        return {
+            IndexedProp(name, index): self.current_in(index, parts)
+            for index in self._indices
+            for name, parts in carriers.items()
+        }
+
+    def local_move(self, source: str, target: str) -> int:
+        """The interleaved rule "one process moves ``source`` → ``target``, the rest are framed"."""
+        manager = self.manager
+        node = 0
+        for index in self._indices:
+            move = manager.apply_and(self.current(index, source), self.next(index, target))
+            node = manager.apply_or(node, manager.apply_and(move, self.frame([index])))
         return node
 
     def unchanged(self, index: int) -> int:

@@ -70,6 +70,7 @@ __all__ = [
     "BitsetCTLModelChecker",
     "CTL_ENGINES",
     "ENGINE_NAMES",
+    "SAT_ENGINES",
     "make_ctl_checker",
     "satisfaction_set",
     "check",
@@ -89,12 +90,17 @@ _ATOMIC = (TrueLiteral, FalseLiteral, Atom, IndexedAtom, ExactlyOne)
 #: supervised worker processes and keeping the first conclusive verdict.
 ENGINE_NAMES = ("bitset", "naive", "bdd", "bmc", "ic3", "portfolio")
 
+#: The SAT-based engines: they decide the invariant fragment only, take a
+#: ``bound``, report how a verdict was reached in ``last_detail``, and
+#: reject fairness constraints.
+SAT_ENGINES = ("bmc", "ic3")
+
 #: The engines computing full CTL *satisfaction sets* — the differential-
 #: testing set replayed by :func:`repro.mc.oracle.crosscheck_ctl_engines`.
-#: ``"bmc"``, ``"ic3"`` and ``"portfolio"`` are deliberately excluded: they
+#: The SAT engines and ``"portfolio"`` are deliberately excluded: they
 #: produce single verdicts, not sets.
 CTL_ENGINES = tuple(
-    name for name in ENGINE_NAMES if name not in ("bmc", "ic3", "portfolio")
+    name for name in ENGINE_NAMES if name not in SAT_ENGINES + ("portfolio",)
 )
 
 

@@ -17,9 +17,10 @@ ICTL* model checking and for the reduction/correspondence machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CompositionError
+from repro.kripke.builders import build_reachable
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import IndexedProp, Label
 from repro.network.process import LocalState, ProcessTemplate
@@ -164,28 +165,14 @@ class SharedVariableComposition:
             when the reachable state space exceeds it (a guard against
             accidentally asking for the 1000-process ring explicitly).
         """
-        initial = self.initial_state
-        states: Set[GlobalState] = {initial}
-        transitions: Dict[GlobalState, List[GlobalState]] = {}
-        frontier: List[GlobalState] = [initial]
-        while frontier:
-            current = frontier.pop()
-            successors = self.successors(current)
-            transitions[current] = successors
-            for successor in successors:
-                if successor not in states:
-                    states.add(successor)
-                    frontier.append(successor)
-                    if max_states is not None and len(states) > max_states:
-                        raise CompositionError(
-                            "reachable state space exceeds the max_states bound of %d" % max_states
-                        )
-        labeling = {state: self.label(state) for state in states}
-        return IndexedKripkeStructure(
-            states,
-            transitions,
-            labeling,
-            initial,
+        return build_reachable(
+            self.initial_state,
+            self.successors,
+            self.label,
             index_values=self._index_values,
             name=self._name,
+            overflow=lambda bound: CompositionError(
+                "reachable state space exceeds the max_states bound of %d" % bound
+            ),
+            max_states=max_states,
         )

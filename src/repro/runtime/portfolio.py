@@ -71,10 +71,6 @@ __all__ = [
 #: strictly slower) and ``portfolio`` itself.
 DEFAULT_RACE_ENGINES = ("bitset", "bdd", "bmc", "ic3")
 
-#: Race engines that decide verdicts via the SAT stack (get ``bound`` and a
-#: ``last_detail``); kept in sync with ``repro.cli._SAT_ENGINES``.
-_SAT_RACE_ENGINES = ("bmc", "ic3")
-
 
 def builder_source(module: str, function: str, *args: Any, **kwargs: Any) -> Tuple:
     """A worker-side structure recipe: import ``module`` and call ``function``.
@@ -131,10 +127,9 @@ def run_engine_check(
     """
     structure = _materialise(source)
     from repro.kripke.symbolic import SymbolicKripkeStructure
+    from repro.mc.bitset import SAT_ENGINES, make_ctl_checker
 
-    if engine in _SAT_RACE_ENGINES:
-        from repro.mc.bitset import make_ctl_checker
-
+    if engine in SAT_ENGINES:
         checker = make_ctl_checker(structure, engine=engine, bound=bound)
         try:
             verdict = checker.check(formula)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StructureError
+from repro.kripke.builders import build_reachable
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import IndexedProp
 from repro.logic.ast import Formula
@@ -56,8 +57,9 @@ __all__ = [
     "counter_properties",
 ]
 
-#: One bit per process in the symbolic encoding.
-_PARTS = ("Z", "O")
+#: The part alphabet (one bit per process in the symbolic encoding) and the
+#: indexed proposition a bit-process satisfies in each part.
+_PART_PROPS = {"Z": ("z",), "O": ("o",)}
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,9 @@ def counter_successors(state: CounterState, buggy: bool = False) -> List[Counter
 def counter_state_label(state: CounterState):
     """``z_i`` / ``o_i`` per bit-process."""
     return frozenset(
-        IndexedProp("z" if part == "Z" else "o", index)
+        IndexedProp(name, index)
         for index, part in enumerate(state.parts, start=1)
+        for name in _PART_PROPS[part]
     )
 
 
@@ -120,31 +123,15 @@ def build_counter(
     is exponentially long); the symbolic engines use
     :func:`symbolic_counter`.
     """
-    start = counter_initial_state(size)
-    states = {start}
-    transitions: Dict[CounterState, List[CounterState]] = {}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        successors = counter_successors(current, buggy=buggy)
-        transitions[current] = successors
-        for successor in successors:
-            if successor not in states:
-                states.add(successor)
-                frontier.append(successor)
-                if max_states is not None and len(states) > max_states:
-                    raise StructureError(
-                        "counter exploration exceeded max_states=%d" % max_states
-                    )
-    labeling = {state: counter_state_label(state) for state in states}
-    return IndexedKripkeStructure(
-        states,
-        transitions,
-        labeling,
-        start,
+    return build_reachable(
+        counter_initial_state(size),
+        lambda state: counter_successors(state, buggy=buggy),
+        counter_state_label,
         index_values=range(1, size + 1),
-        indexed_prop_names={"z", "o"},
         name="counter(%d%s)" % (size, ", buggy" if buggy else ""),
+        overflow=lambda bound: StructureError("counter exploration exceeded max_states=%d" % bound),
+        max_states=max_states,
+        indexed_prop_names={"z", "o"},
     )
 
 
@@ -160,14 +147,13 @@ def symbolic_counter(size: int, buggy: bool = False, domain: str = "reachable"):
     """
     if size < 1:
         raise StructureError("the counter needs at least one bit-process")
-    if domain not in ("reachable", "free"):
-        raise StructureError("domain must be 'reachable' or 'free', got %r" % (domain,))
     from repro.bdd import BDDManager
-    from repro.kripke.symbolic import ProcessFamilyEncoding, SymbolicKripkeStructure
+    from repro.kripke.symbolic import ProcessFamilyEncoding, SymbolicKripkeStructure, family_domain
 
+    domain_node = family_domain(domain)
     manager = BDDManager()
     indices = tuple(range(1, size + 1))
-    encoding = ProcessFamilyEncoding(manager, indices, _PARTS)
+    encoding = ProcessFamilyEncoding(manager, indices, tuple(_PART_PROPS))
     land_ = manager.apply_and
 
     parts: List[object] = []
@@ -196,30 +182,24 @@ def symbolic_counter(size: int, buggy: bool = False, domain: str = "reachable"):
     else:
         parts.append(land_(all_ones, encoding.frame([])))
 
-    prop_nodes = {}
-    for process in indices:
-        prop_nodes[IndexedProp("z", process)] = encoding.current(process, "Z")
-        prop_nodes[IndexedProp("o", process)] = encoding.current(process, "O")
+    prop_nodes = encoding.prop_nodes(_PART_PROPS)
 
     initial = encoding.state_cube(
         {process: "O" if process == 1 else "Z" for process in indices}
     )
 
     def decode_assignment(model) -> CounterState:
-        decoded = encoding.decode(model)
-        return CounterState(parts=tuple(decoded[process] for process in indices))
+        return CounterState(parts=tuple(encoding.decode(model).values()))
 
     def encode_assignment(state: CounterState):
-        return encoding.encode(
-            {process: state.part_of(process) for process in indices}
-        )
+        return encoding.encode({process: state.part_of(process) for process in indices})
 
     return SymbolicKripkeStructure(
         manager,
         encoding.num_bits,
         parts,
         initial,
-        None if domain == "reachable" else 1,
+        domain_node,
         prop_nodes,
         index_values=frozenset(indices),
         encode_assignment=encode_assignment,

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StructureError
+from repro.kripke.builders import build_reachable
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import IndexedProp
 from repro.logic.ast import Formula
@@ -69,8 +70,9 @@ __all__ = [
     "mutex_properties",
 ]
 
-#: The local-part alphabet; two bits per process in the symbolic encoding.
-_PARTS = ("I", "R", "C")
+#: The local-part alphabet (two bits per process in the symbolic encoding)
+#: and the indexed proposition a process satisfies in each part.
+_PART_PROPS = {"I": ("n",), "R": ("r",), "C": ("c",)}
 
 #: The shared-lock proposition (a plain, non-indexed atom).
 LOCK_PROP = "lock"
@@ -124,14 +126,11 @@ def mutex_successors(state: MutexState, buggy: bool = False) -> List[MutexState]
 
 def mutex_state_label(state: MutexState):
     """``n_i`` / ``r_i`` / ``c_i`` per process, plus the plain ``lock`` atom."""
-    label = set()
-    for index, part in enumerate(state.parts, start=1):
-        if part == "I":
-            label.add(IndexedProp("n", index))
-        elif part == "R":
-            label.add(IndexedProp("r", index))
-        else:
-            label.add(IndexedProp("c", index))
+    label = {
+        IndexedProp(name, index)
+        for index, part in enumerate(state.parts, start=1)
+        for name in _PART_PROPS[part]
+    }
     if state.lock:
         label.add(LOCK_PROP)
     return frozenset(label)
@@ -141,31 +140,15 @@ def build_mutex(
     size: int, buggy: bool = False, max_states: Optional[int] = None
 ) -> IndexedKripkeStructure:
     """Build the explicit global state graph, restricted to reachable states."""
-    start = mutex_initial_state(size)
-    states = {start}
-    transitions: Dict[MutexState, List[MutexState]] = {}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        successors = mutex_successors(current, buggy=buggy)
-        transitions[current] = successors
-        for successor in successors:
-            if successor not in states:
-                states.add(successor)
-                frontier.append(successor)
-                if max_states is not None and len(states) > max_states:
-                    raise StructureError(
-                        "mutex exploration exceeded max_states=%d" % max_states
-                    )
-    labeling = {state: mutex_state_label(state) for state in states}
-    return IndexedKripkeStructure(
-        states,
-        transitions,
-        labeling,
-        start,
+    return build_reachable(
+        mutex_initial_state(size),
+        lambda state: mutex_successors(state, buggy=buggy),
+        mutex_state_label,
         index_values=range(1, size + 1),
-        indexed_prop_names={"n", "r", "c"},
         name="mutex(%d%s)" % (size, ", buggy" if buggy else ""),
+        overflow=lambda bound: StructureError("mutex exploration exceeded max_states=%d" % bound),
+        max_states=max_states,
+        indexed_prop_names={"n", "r", "c"},
     )
 
 
@@ -182,66 +165,34 @@ def symbolic_mutex(size: int, buggy: bool = False, domain: str = "reachable"):
     """
     if size < 1:
         raise StructureError("the mutex protocol needs at least one process")
-    if domain not in ("reachable", "free"):
-        raise StructureError("domain must be 'reachable' or 'free', got %r" % (domain,))
     from repro.bdd import BDDManager
-    from repro.kripke.symbolic import ProcessFamilyEncoding, SymbolicKripkeStructure
+    from repro.kripke.symbolic import ProcessFamilyEncoding, SymbolicKripkeStructure, family_domain
 
+    domain_node = family_domain(domain)
     manager = BDDManager()
     indices = tuple(range(1, size + 1))
-    encoding = ProcessFamilyEncoding(manager, indices, _PARTS)
-    land_, lor_, neg = manager.apply_and, manager.apply_or, manager.negate
+    encoding = ProcessFamilyEncoding(manager, indices, tuple(_PART_PROPS))
+    land_, neg = manager.apply_and, manager.negate
 
     lock_bit = encoding.num_bits  # state-bit index of the shared lock
     lock_now = manager.var(2 * lock_bit)
     lock_next = manager.var(2 * lock_bit + 1)
     lock_unchanged = manager.apply("iff", lock_now, lock_next)
 
-    parts: List[object] = []
+    parts: List[object] = [
+        # Rule 1 — request: I -> R, lock untouched.
+        (encoding.local_move("I", "R"), lock_unchanged),
+        # Rule 2 — acquire: R -> C sets the lock; the guard ¬lock is the
+        # test-and-set check the seeded bug removes.
+        (
+            encoding.local_move("R", "C"),
+            lock_next if buggy else land_(neg(lock_now), lock_next),
+        ),
+        # Rule 3 — release: C -> I clears the lock.
+        (encoding.local_move("C", "I"), neg(lock_next)),
+    ]
 
-    # Rule 1 — request: I -> R, lock untouched.
-    rule1 = 0
-    for process in indices:
-        rule1 = lor_(
-            rule1,
-            land_(
-                land_(encoding.current(process, "I"), encoding.next(process, "R")),
-                encoding.frame([process]),
-            ),
-        )
-    parts.append((rule1, lock_unchanged))
-
-    # Rule 2 — acquire: R -> C sets the lock; the guard ¬lock is the
-    # test-and-set check the seeded bug removes.
-    rule2 = 0
-    for process in indices:
-        rule2 = lor_(
-            rule2,
-            land_(
-                land_(encoding.current(process, "R"), encoding.next(process, "C")),
-                encoding.frame([process]),
-            ),
-        )
-    acquire_guard = lock_next if buggy else land_(neg(lock_now), lock_next)
-    parts.append((rule2, acquire_guard))
-
-    # Rule 3 — release: C -> I clears the lock.
-    rule3 = 0
-    for process in indices:
-        rule3 = lor_(
-            rule3,
-            land_(
-                land_(encoding.current(process, "C"), encoding.next(process, "I")),
-                encoding.frame([process]),
-            ),
-        )
-    parts.append((rule3, neg(lock_next)))
-
-    prop_nodes = {}
-    for process in indices:
-        prop_nodes[IndexedProp("n", process)] = encoding.current(process, "I")
-        prop_nodes[IndexedProp("r", process)] = encoding.current(process, "R")
-        prop_nodes[IndexedProp("c", process)] = encoding.current(process, "C")
+    prop_nodes = encoding.prop_nodes(_PART_PROPS)
     prop_nodes[LOCK_PROP] = lock_now
 
     initial = land_(
@@ -249,16 +200,11 @@ def symbolic_mutex(size: int, buggy: bool = False, domain: str = "reachable"):
     )
 
     def decode_assignment(model) -> MutexState:
-        decoded = encoding.decode(model)
-        return MutexState(
-            parts=tuple(decoded[process] for process in indices),
-            lock=bool(model.get(2 * lock_bit, False)),
-        )
+        parts = tuple(encoding.decode(model).values())
+        return MutexState(parts=parts, lock=bool(model.get(2 * lock_bit, False)))
 
     def encode_assignment(state: MutexState):
-        model = encoding.encode(
-            {process: state.part_of(process) for process in indices}
-        )
+        model = encoding.encode({process: state.part_of(process) for process in indices})
         model[2 * lock_bit] = state.lock
         return model
 
@@ -267,7 +213,7 @@ def symbolic_mutex(size: int, buggy: bool = False, domain: str = "reachable"):
         encoding.num_bits + 1,
         parts,
         initial,
-        None if domain == "reachable" else 1,
+        domain_node,
         prop_nodes,
         index_values=frozenset(indices),
         encode_assignment=encode_assignment,

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import StructureError
+from repro.kripke.builders import build_reachable
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import IndexedProp
 from repro.logic.ast import Formula
@@ -98,6 +99,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Global states
 # ---------------------------------------------------------------------------
+
+
+#: The paper's labelling ``L_r``: the indexed propositions a process
+#: satisfies in each part (``D``, ``N``, ``T``, ``C``, in ``RingState`` order).
+_PART_PROPS = {"D": ("d",), "N": ("n",), "T": ("n", "t"), "C": ("c", "t")}
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,19 @@ def cln(state: RingState, holder: int, size: int) -> Optional[int]:
     return None
 
 
+def _local_move(state: RingState, process: int, source: str, target: str) -> RingState:
+    """``state`` with ``process`` moved from part ``source`` to part ``target``."""
+    parts = {
+        "D": state.delayed,
+        "N": state.neutral,
+        "T": state.token_neutral,
+        "C": state.critical,
+    }
+    parts[source] = parts[source] - {process}
+    parts[target] = parts[target] | {process}
+    return RingState(parts["D"], parts["N"], parts["T"], parts["C"], state.other)
+
+
 def ring_successors(state: RingState, size: int, buggy: bool = False) -> List[RingState]:
     """The successors of a global state under the four transition rules of ``R_r``.
 
@@ -184,28 +203,10 @@ def ring_successors(state: RingState, size: int, buggy: bool = False) -> List[Ri
     # Seeded bug: a delayed process jumps into its critical region on its
     # own, conjuring a second token out of nothing.
     if buggy:
-        for process in sorted(state.delayed):
-            successors.append(
-                RingState(
-                    delayed=state.delayed - {process},
-                    neutral=state.neutral,
-                    token_neutral=state.token_neutral,
-                    critical=state.critical | {process},
-                    other=state.other,
-                )
-            )
+        successors.extend(_local_move(state, p, "D", "C") for p in sorted(state.delayed))
 
     # Rule 1: a neutral process becomes delayed.
-    for process in sorted(state.neutral):
-        successors.append(
-            RingState(
-                delayed=state.delayed | {process},
-                neutral=state.neutral - {process},
-                token_neutral=state.token_neutral,
-                critical=state.critical,
-                other=state.other,
-            )
-        )
+    successors.extend(_local_move(state, p, "N", "D") for p in sorted(state.neutral))
 
     # Rule 2: the token holder j ∈ T ∪ C hands the token to i = cln(j) ∈ D;
     # j becomes neutral and i enters its critical region.
@@ -224,46 +225,23 @@ def ring_successors(state: RingState, size: int, buggy: bool = False) -> List[Ri
         )
 
     # Rule 3: the process in T enters its critical region.
-    for holder in sorted(state.token_neutral):
-        successors.append(
-            RingState(
-                delayed=state.delayed,
-                neutral=state.neutral,
-                token_neutral=state.token_neutral - {holder},
-                critical=state.critical | {holder},
-                other=state.other,
-            )
-        )
+    successors.extend(_local_move(state, p, "T", "C") for p in sorted(state.token_neutral))
 
     # Rule 4: the process in C returns to T, but only when nobody is delayed.
     if not state.delayed:
-        for holder in sorted(state.critical):
-            successors.append(
-                RingState(
-                    delayed=state.delayed,
-                    neutral=state.neutral,
-                    token_neutral=state.token_neutral | {holder},
-                    critical=state.critical - {holder},
-                    other=state.other,
-                )
-            )
+        successors.extend(_local_move(state, p, "C", "T") for p in sorted(state.critical))
 
     return successors
 
 
 def state_label(state: RingState) -> FrozenSet[IndexedProp]:
     """The paper's labelling ``L_r``: ``d_i``, ``n_i``, ``t_i``, ``c_i`` per part."""
+    members = (state.delayed, state.neutral, state.token_neutral, state.critical)
     label = set()
-    for process in state.delayed:
-        label.add(IndexedProp("d", process))
-    for process in state.neutral:
-        label.add(IndexedProp("n", process))
-    for process in state.token_neutral:
-        label.add(IndexedProp("n", process))
-        label.add(IndexedProp("t", process))
-    for process in state.critical:
-        label.add(IndexedProp("c", process))
-        label.add(IndexedProp("t", process))
+    for names, processes in zip(_PART_PROPS.values(), members):
+        for process in processes:
+            for name in names:
+                label.add(IndexedProp(name, process))
     return frozenset(label)
 
 
@@ -283,31 +261,17 @@ def build_token_ring(
         Include the seeded token-duplication bug of :func:`ring_successors`
         (the BMC falsification target; the one-token invariant fails).
     """
-    start = initial_state(size)
-    states = {start}
-    transitions: Dict[RingState, List[RingState]] = {}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        successors = ring_successors(current, size, buggy=buggy)
-        transitions[current] = successors
-        for successor in successors:
-            if successor not in states:
-                states.add(successor)
-                frontier.append(successor)
-                if max_states is not None and len(states) > max_states:
-                    raise StructureError(
-                        "token ring exploration exceeded max_states=%d" % max_states
-                    )
-    labeling = {state: state_label(state) for state in states}
-    return IndexedKripkeStructure(
-        states,
-        transitions,
-        labeling,
-        start,
+    return build_reachable(
+        initial_state(size),
+        lambda state: ring_successors(state, size, buggy=buggy),
+        state_label,
         index_values=range(1, size + 1),
-        indexed_prop_names={"d", "n", "t", "c"},
         name="M_%d%s" % (size, " (buggy)" if buggy else ""),
+        overflow=lambda bound: StructureError(
+            "token ring exploration exceeded max_states=%d" % bound
+        ),
+        max_states=max_states,
+        indexed_prop_names={"d", "n", "t", "c"},
     )
 
 
@@ -358,37 +322,24 @@ def symbolic_token_ring(size: int, buggy: bool = False, domain: str = "reachable
     """
     if size < 1:
         raise StructureError("the ring needs at least one process")
-    if domain not in ("reachable", "free"):
-        raise StructureError("domain must be 'reachable' or 'free', got %r" % (domain,))
     from repro.bdd import BDDManager
-    from repro.kripke.symbolic import ProcessFamilyEncoding, SymbolicKripkeStructure
+    from repro.kripke.symbolic import ProcessFamilyEncoding, SymbolicKripkeStructure, family_domain
 
+    domain_node = family_domain(domain)
     manager = BDDManager()
     indices = tuple(range(1, size + 1))
     encoding = ProcessFamilyEncoding(manager, indices, _SYMBOLIC_PARTS)
     land, lor, neg = manager.apply_and, manager.apply_or, manager.negate
 
-    parts: List[object] = []
-
     # Rule 1: a neutral process becomes delayed.
-    rule1 = 0
-    for process in indices:
-        rule1 = lor(
-            rule1,
-            land(
-                land(encoding.current(process, "N"), encoding.next(process, "D")),
-                encoding.frame([process]),
-            ),
-        )
-    parts.append(rule1)
+    parts: List[object] = [encoding.local_move("N", "D")]
 
     # Rule 2: the holder j ∈ T ∪ C hands the token to i = cln(j) ∈ D; j
     # becomes neutral and i enters its critical region.  One part per j,
     # factored as (holder guard ∧ holder effect) ∧ (receiver disjunction).
     for holder in indices:
         holder_core = land(
-            lor(encoding.current(holder, "T"), encoding.current(holder, "C")),
-            encoding.next(holder, "N"),
+            encoding.current_in(holder, ("T", "C")), encoding.next(holder, "N")
         )
         handoffs = 0
         nobody_between_delayed = 1
@@ -408,58 +359,22 @@ def symbolic_token_ring(size: int, buggy: bool = False, domain: str = "reachable
             parts.append((holder_core, handoffs))
 
     # Rule 3: the process in T enters its critical region.
-    rule3 = 0
-    for process in indices:
-        rule3 = lor(
-            rule3,
-            land(
-                land(encoding.current(process, "T"), encoding.next(process, "C")),
-                encoding.frame([process]),
-            ),
-        )
-    parts.append(rule3)
+    parts.append(encoding.local_move("T", "C"))
 
     # Seeded bug (buggy=True): a delayed process enters its critical region
     # directly, duplicating the token — cf. ring_successors(buggy=True).
     if buggy:
-        bug_rule = 0
-        for process in indices:
-            bug_rule = lor(
-                bug_rule,
-                land(
-                    land(encoding.current(process, "D"), encoding.next(process, "C")),
-                    encoding.frame([process]),
-                ),
-            )
-        parts.append(bug_rule)
+        parts.append(encoding.local_move("D", "C"))
 
     # Rule 4: the process in C returns to T, but only when nobody is delayed;
     # the global side condition is a separate conjunct.
     nobody_delayed = 1
     for process in indices:
         nobody_delayed = land(nobody_delayed, neg(encoding.current(process, "D")))
-    rule4 = 0
-    for process in indices:
-        rule4 = lor(
-            rule4,
-            land(
-                land(encoding.current(process, "C"), encoding.next(process, "T")),
-                encoding.frame([process]),
-            ),
-        )
-    parts.append((nobody_delayed, rule4))
+    parts.append((nobody_delayed, encoding.local_move("C", "T")))
 
     # The labelling L_r as characteristic functions (cf. state_label).
-    prop_nodes = {}
-    for process in indices:
-        prop_nodes[IndexedProp("d", process)] = encoding.current(process, "D")
-        prop_nodes[IndexedProp("n", process)] = lor(
-            encoding.current(process, "N"), encoding.current(process, "T")
-        )
-        prop_nodes[IndexedProp("t", process)] = lor(
-            encoding.current(process, "T"), encoding.current(process, "C")
-        )
-        prop_nodes[IndexedProp("c", process)] = encoding.current(process, "C")
+    prop_nodes = encoding.prop_nodes(_PART_PROPS)
 
     initial_parts = {process: ("T" if process == 1 else "N") for process in indices}
     initial = encoding.state_cube(initial_parts)
@@ -483,9 +398,7 @@ def symbolic_token_ring(size: int, buggy: bool = False, domain: str = "reachable
         encoding.num_bits,
         parts,
         initial,
-        # domain=None: reachable states, computed symbolically at build time;
-        # domain=1 (the true function): every bit pattern, no fixpoint.
-        None if domain == "reachable" else 1,
+        domain_node,
         prop_nodes,
         index_values=frozenset(indices),
         encode_assignment=encode_assignment,

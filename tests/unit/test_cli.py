@@ -201,6 +201,17 @@ def test_bmc_ring_check(capsys):
     assert "proved by 1-induction" in out
     assert "skipped (outside the bmc fragment)" in out
     assert "checked properties and invariants hold" in out
+    assert "(decided 2, undecided 5)" in out
+
+
+def test_summary_says_nothing_holds_when_nothing_was_decided(capsys):
+    # Bound 1 is too shallow for k-induction on mutual exclusion.
+    exit_code = main(["--engine", "bmc", "--system", "mutex", "--size", "3", "--bound", "1"])
+    out = capsys.readouterr().out
+    assert exit_code == 0
+    assert "INCONCLUSIVE" in out
+    assert " hold" not in out
+    assert "no property or invariant was decided on mutex(3) (decided 0, undecided 1)" in out
 
 
 def test_ic3_mutex_check(capsys):
@@ -279,12 +290,15 @@ def test_bound_requires_sat_engine(capsys):
 def test_ic3_bound_caps_frames(capsys):
     # A tiny frame ceiling makes the non-inductive pairwise-exclusion
     # invariant inconclusive rather than wrong; inconclusive checks are
-    # reported but (like fragment skips) do not fail the run.
+    # reported but (like fragment skips) do not fail the run.  Every other
+    # property is outside the fragment, so nothing was decided and the
+    # summary must not claim that anything holds.
     exit_code = main(["--engine", "ic3", "--ring-size", "4", "--bound", "1"])
     out = capsys.readouterr().out
     assert exit_code == 0
     assert "INCONCLUSIVE" in out
-    assert "checked properties and invariants hold" in out
+    assert " hold" not in out
+    assert "no property or invariant was decided on M_4 (decided 0, undecided 7)" in out
 
 
 def test_sat_engines_with_fairness_rejected(capsys):

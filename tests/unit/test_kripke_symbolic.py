@@ -17,7 +17,7 @@ from repro.kripke.symbolic import (
     symbolic_structure,
 )
 from repro.logic.ast import Atom, ExactlyOne, IndexedAtom, Next, TrueLiteral
-from repro.systems import token_ring
+from repro.systems import counter, mutex, token_ring
 
 
 # ---------------------------------------------------------------------------
@@ -192,35 +192,62 @@ def test_family_encoding_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# The direct symbolic token ring
+# The direct symbolic encodings (ring, mutex, counter)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 4])
-def test_symbolic_ring_equals_explicit_ring(size):
-    symbolic = token_ring.symbolic_token_ring(size)
-    explicit = token_ring.build_token_ring(size)
+#: Each direct encoding beside the explicit builder it must agree with.
+_FAMILIES = {
+    "ring": (token_ring.symbolic_token_ring, token_ring.build_token_ring),
+    "mutex": (mutex.symbolic_mutex, mutex.build_mutex),
+    "counter": (counter.symbolic_counter, counter.build_counter),
+}
+
+_BUILDS = [
+    pytest.param(family, buggy, size, id="%s-%s-%d" % (family, variant, size))
+    for family in _FAMILIES
+    for buggy, variant in ((False, "correct"), (True, "buggy"))
+    for size in (1, 2, 3, 4)
+]
+
+
+def _both_encodings(family, buggy, size):
+    symbolic_builder, explicit_builder = _FAMILIES[family]
+    return symbolic_builder(size, buggy=buggy), explicit_builder(size, buggy=buggy)
+
+
+@pytest.mark.parametrize("family,buggy,size", _BUILDS)
+def test_symbolic_family_equals_explicit_family(family, buggy, size):
+    symbolic, explicit = _both_encodings(family, buggy, size)
     assert symbolic.num_states == explicit.num_states
     assert symbolic.num_transitions == explicit.num_transitions
     assert symbolic.is_total()
     assert symbolic.index_values == explicit.index_values
     assert symbolic.states_of(symbolic.domain) == explicit.states
     assert symbolic.states_of(symbolic.initial) == frozenset({explicit.initial_state})
-    # Labels agree proposition by proposition.
-    for name in ("d", "n", "t", "c"):
-        for value in explicit.index_values:
-            atom = IndexedAtom(name, value)
-            expected = frozenset(
-                state
-                for state in explicit.states
-                if IndexedProp(name, value) in explicit.label(state)
-            )
-            assert symbolic.states_of(symbolic.atom_node(atom)) == expected
+    # Labels agree proposition by proposition, including indexed
+    # propositions no reachable state carries.
+    labels = set().union(*(explicit.label(state) for state in explicit.states))
+    labels.update(
+        IndexedProp(name, value)
+        for name in explicit.indexed_prop_names
+        for value in explicit.index_values
+    )
+    for label in labels:
+        atom = (
+            IndexedAtom(label.name, label.index)
+            if isinstance(label, IndexedProp)
+            else Atom(label)
+        )
+        expected = frozenset(
+            state for state in explicit.states if label in explicit.label(state)
+        )
+        assert symbolic.states_of(symbolic.atom_node(atom)) == expected
 
 
-def test_symbolic_ring_transitions_match_explicit_successors():
-    symbolic = token_ring.symbolic_token_ring(3)
-    explicit = token_ring.build_token_ring(3)
+@pytest.mark.parametrize("family,buggy,size", _BUILDS)
+def test_symbolic_family_successors_match_explicit(family, buggy, size):
+    symbolic, explicit = _both_encodings(family, buggy, size)
     for state in explicit.states:
         singleton = symbolic.manager.cube(symbolic.encode_state(state))
         image = symbolic.manager.apply_and(symbolic.image(singleton), symbolic.domain)

@@ -1,11 +1,12 @@
-"""Unit tests for the figure examples, the round-robin scheduler, and the barrier family."""
+"""Unit tests for the figure examples and the round-robin, barrier and counter families."""
 
 import pytest
 
+from repro.errors import StructureError
 from repro.kripke.structure import IndexedProp
 from repro.mc.ctlstar import CTLStarModelChecker
 from repro.mc.indexed import ICTLStarModelChecker
-from repro.systems import barrier, figures, round_robin
+from repro.systems import barrier, counter, figures, round_robin
 
 
 # ---------------------------------------------------------------------------
@@ -165,3 +166,15 @@ def test_barrier_properties_are_restricted():
 def test_barrier_rejects_bad_size():
     with pytest.raises(ValueError):
         barrier.build_barrier(0)
+
+
+# ---------------------------------------------------------------------------
+# Counter
+# ---------------------------------------------------------------------------
+
+
+def test_counter_max_states_guard():
+    # counter(4) walks 15 states; the guard stops the walk at 6.
+    with pytest.raises(StructureError, match="counter exploration exceeded max_states=5"):
+        counter.build_counter(4, max_states=5)
+    assert counter.build_counter(4, max_states=15).num_states == 15
