@@ -170,21 +170,23 @@ class _Counters:
 
 
 class _TransitionTemplate:
-    """The CNF transition relation, built once and replayed per frame solver.
+    """The CNF transition relation, loaded once and cloned per frame solver.
 
     Solver variables ``1 … n`` carry the current state bits, ``n+1 … 2n``
     the next state bits (``n = num_bits``); Tseitin definition variables
     come after.  Every BDD edge lowered here is pinned through a refcounted
     handle so the node-indexed caches survive garbage collection, exactly
-    as in the BMC unroller.
+    as in the BMC unroller.  The clauses are loaded into one template
+    solver, which is never solved; :meth:`new_solver` hands out
+    :meth:`~repro.sat.solver.Solver.clone` copies of it.
     """
 
     def __init__(self, symbolic: SymbolicKripkeStructure) -> None:
         with _obs_span("ic3.compile") as sp:
             self.symbolic = symbolic
             self.num_bits = symbolic.num_bits
-            self.cnf = CNF()
-            self.cnf.new_vars(2 * self.num_bits)
+            cnf = CNF()
+            cnf.new_vars(2 * self.num_bits)
             self.current_map = {2 * bit: bit + 1 for bit in range(self.num_bits)}
             var_map = dict(self.current_map)
             for bit in range(self.num_bits):
@@ -197,21 +199,25 @@ class _TransitionTemplate:
                 for edge in conjuncts:
                     self._pinned.append(symbolic.function(edge))
                     conjunct_literals.append(
-                        tseitin_bdd(symbolic.manager, edge, var_map, self.cnf, cache)
+                        tseitin_bdd(symbolic.manager, edge, var_map, cnf, cache)
                     )
-                cluster_literals.append(self.cnf.gate_and(conjunct_literals))
-            self.cnf.add_clause((self.cnf.gate_or(cluster_literals),))
-            sp.set(bits=self.num_bits, cnf_vars=self.cnf.num_vars)
-        _metrics.gauge("ic3.template_cnf_vars").set(self.cnf.num_vars)
+                cluster_literals.append(cnf.gate_and(conjunct_literals))
+            cnf.add_clause((cnf.gate_or(cluster_literals),))
+            self._solver = Solver()
+            for _ in range(cnf.num_vars):
+                self._solver.new_var()
+            for clause in cnf.clauses:
+                self._solver.add_clause(clause)
+            sp.set(bits=self.num_bits, cnf_vars=cnf.num_vars)
+        _metrics.gauge("ic3.template_cnf_vars").set(cnf.num_vars)
 
     def new_solver(self) -> Solver:
-        """A fresh incremental solver pre-loaded with the transition relation."""
-        solver = Solver()
-        for _ in range(self.cnf.num_vars):
-            solver.new_var()
-        for clause in self.cnf.clauses:
-            solver.add_clause(clause)
-        return solver
+        """A fresh incremental solver pre-loaded with the transition relation.
+
+        A clone of the template solver: it shares no state with the
+        template or with any other solver handed out here.
+        """
+        return self._solver.clone()
 
     def encode_state_set(self, solver: Solver, node: int, cache: Dict[int, int]) -> int:
         """Tseitin a current-variables BDD into ``solver``; returns its literal."""
@@ -233,14 +239,9 @@ class _IC3Run:
         self.drat = drat
         self.proof_stats: Optional[Dict[str, int]] = None
         self.num_bits = symbolic.num_bits
-        manager = symbolic.manager
         self.property_fn = symbolic.function(property_node)
         self.bad_fn = symbolic.function(symbolic.complement(property_node))
         self.init_fn = symbolic.function(symbolic.initial)
-        self.true_fn = ~symbolic.function(0)
-        self.bit_fns = [
-            symbolic.function(manager.var(2 * bit)) for bit in range(self.num_bits)
-        ]
         self.counters = _Counters()
         self.solver_stats = SolverStats()
         # frames[i] holds the cubes blocked *exactly* at level i (the delta
@@ -285,11 +286,11 @@ class _IC3Run:
         )
 
     def _cube_fn(self, cube: Sequence[int]) -> BDDFunction:
-        fn = self.true_fn
-        for literal in cube:
-            bit_fn = self.bit_fns[abs(literal) - 1]
-            fn = fn & (bit_fn if literal > 0 else ~bit_fn)
-        return fn
+        """The BDD of ``cube`` (state bit ``k`` is BDD variable ``2k``)."""
+        symbolic = self.symbolic
+        return symbolic.function(
+            symbolic.manager.cube({2 * (abs(literal) - 1): literal > 0 for literal in cube})
+        )
 
     def _intersects_init(self, cube: Sequence[int]) -> bool:
         return not (self.init_fn & self._cube_fn(cube)).is_false

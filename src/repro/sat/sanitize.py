@@ -73,7 +73,10 @@ def check_solver(solver) -> None:
 
     What the CDCL loop promises at a stable (fully propagated) point:
 
-    * array sizes track ``num_vars``; assignments are in ``{-1, 0, +1}``;
+    * array sizes track ``num_vars``; the literal-indexed value table is
+      consistent — every value in ``{-1, 0, +1}`` and ``table[-v] ==
+      -table[v]`` for every variable ``v`` — and no slot beyond
+      ``num_vars`` (the table's unused middle) is assigned or watched;
     * the trail holds each assigned variable exactly once, as a currently
       true literal, with decision levels matching the ``_trail_lim``
       segmentation; implied literals carry a reason clause that really
@@ -88,7 +91,8 @@ def check_solver(solver) -> None:
       checked only when the trail is fully propagated and the database is
       still satisfiable as far as the solver knows (``_ok``);
     * the VSIDS heap is a well-formed max-heap consistent with its
-      position map, and (at decision level zero) contains every
+      per-variable position list (``-1`` = not in the heap), and (at
+      decision level zero) contains every
       unassigned variable — a variable missing from the heap could never
       be branched on again;
     * learnt-database bookkeeping: ``learnt`` flags match the list a
@@ -96,22 +100,36 @@ def check_solver(solver) -> None:
       literals inside a clause.
     """
     num_vars = solver.num_vars
-    assign = solver._assign
+    values = solver._values
+    watches = solver._watches
     level = solver._level
     reason = solver._reason
     trail = solver._trail
     trail_lim = solver._trail_lim
 
-    # -- array shapes ------------------------------------------------------
+    # -- array shapes and the value table ----------------------------------
     if not (
-        len(assign) == len(level) == len(reason) == len(solver._activity) == num_vars + 1
+        len(level) == len(reason) == len(solver._activity) == num_vars + 1
     ):
         _fail(solver, "per-variable arrays disagree with num_vars")
-    if len(solver._watches) != 2 * num_vars + 2:
-        _fail(solver, "watch-list array has wrong length")
+    if len(values) < 2 * num_vars + 1:
+        _fail(solver, "value table too small for %d vars" % num_vars)
+    if len(watches) != len(values):
+        _fail(solver, "watch-list table and value table differ in length")
     for var in range(1, num_vars + 1):
-        if assign[var] not in (-1, 0, 1):
-            _fail(solver, "assignment of var %d is %r" % (var, assign[var]))
+        if values[var] not in (-1, 0, 1):
+            _fail(solver, "assignment of var %d is %r" % (var, values[var]))
+        if values[-var] != -values[var]:
+            _fail(
+                solver,
+                "value table is inconsistent: table[%d] = %r but table[-%d] = %r"
+                % (var, values[var], var, values[-var]),
+            )
+    for slot in range(num_vars + 1, len(values) - num_vars):
+        if values[slot] != 0:
+            _fail(solver, "value-table slot %d beyond num_vars is assigned" % slot)
+        if watches[slot]:
+            _fail(solver, "watch-table slot %d beyond num_vars is watched" % slot)
 
     # -- trail / levels ----------------------------------------------------
     decision_level = len(trail_lim)
@@ -131,7 +149,7 @@ def check_solver(solver) -> None:
         seen_vars.add(var)
         while segment < decision_level and trail_lim[segment] <= index:
             segment += 1
-        value = assign[var] if literal > 0 else -assign[var]
+        value = values[literal]
         if value != 1:
             _fail(solver, "trail literal %d is not currently true" % literal)
         if level[var] != segment:
@@ -141,9 +159,9 @@ def check_solver(solver) -> None:
                 % (literal, segment, level[var]),
             )
     for var in range(1, num_vars + 1):
-        if assign[var] != 0 and var not in seen_vars:
+        if values[var] != 0 and var not in seen_vars:
             _fail(solver, "var %d assigned but missing from the trail" % var)
-        if assign[var] != 0 and level[var] > decision_level:
+        if values[var] != 0 and level[var] > decision_level:
             _fail(
                 solver,
                 "var %d carries level %d above the current decision level %d"
@@ -155,18 +173,18 @@ def check_solver(solver) -> None:
         clause = reason[var]
         if clause is None:
             continue
-        if assign[var] == 0:
+        if values[var] == 0:
             _fail(solver, "unassigned var %d still has a reason clause" % var)
         if clause.removed:
             _fail(solver, "reason clause of var %d was deleted" % var)
-        literal = var if assign[var] > 0 else -var
+        literal = var if values[var] > 0 else -var
         if literal not in clause.lits:
             _fail(solver, "reason clause of var %d does not contain its literal" % var)
         for other in clause.lits:
             if other == literal:
                 continue
             other_var = abs(other)
-            value = assign[other_var] if other > 0 else -assign[other_var]
+            value = values[other]
             if value != -1:
                 _fail(
                     solver,
@@ -213,9 +231,8 @@ def check_solver(solver) -> None:
     # -- watch lists -------------------------------------------------------
     known = {id(clause) for clause in database}
     watched_under: Dict[int, List[int]] = {}
-    for index in range(2, len(solver._watches)):
-        literal = index // 2 if index % 2 == 0 else -(index // 2)
-        watchers = solver._watches[index]
+    for literal in (sign * var for var in range(1, num_vars + 1) for sign in (1, -1)):
+        watchers = watches[literal]
         if len(watchers) % 2:
             _fail(solver, "watch list of %d has odd length" % literal)
         for position in range(0, len(watchers), 2):
@@ -239,8 +256,7 @@ def check_solver(solver) -> None:
                 blocker_var = abs(blocker)
                 if not 1 <= blocker_var <= num_vars:
                     _fail(solver, "blocker %d is not a literal at all" % blocker)
-                value = assign[blocker_var] if blocker > 0 else -assign[blocker_var]
-                if not (value == -1 and level[blocker_var] == 0):
+                if not (values[blocker] == -1 and level[blocker_var] == 0):
                     _fail(
                         solver,
                         "blocker %d is not a literal of the watched clause %r "
@@ -260,15 +276,11 @@ def check_solver(solver) -> None:
     # -- two-watch semantics ----------------------------------------------
     fully_propagated = solver._qhead == len(trail) and solver._ok
     if fully_propagated:
-        def lit_value(literal: int) -> int:
-            value = assign[abs(literal)]
-            return -value if literal < 0 else value
-
         for clause in database:
-            if any(lit_value(literal) == 1 for literal in clause.lits):
+            if any(values[literal] == 1 for literal in clause.lits):
                 continue
             for literal in clause.lits[:2]:
-                if lit_value(literal) == -1:
+                if values[literal] == -1:
                     _fail(
                         solver,
                         "unsatisfied clause %r has false watched literal %d "
@@ -280,12 +292,14 @@ def check_solver(solver) -> None:
     heap = order._heap
     position = order._position
     activity = solver._activity
-    if len(heap) != len(position):
+    if len(position) != num_vars + 1:
+        _fail(solver, "VSIDS position map has the wrong length")
+    if len(heap) != sum(1 for slot in position if slot >= 0):
         _fail(solver, "VSIDS heap and position map sizes differ")
     for index, var in enumerate(heap):
         if not 1 <= var <= num_vars:
             _fail(solver, "VSIDS heap holds invalid var %r" % (var,))
-        if position.get(var) != index:
+        if position[var] != index:
             _fail(solver, "VSIDS position map is stale for var %d" % var)
         if index:
             parent = heap[(index - 1) // 2]
@@ -297,5 +311,5 @@ def check_solver(solver) -> None:
                 )
     if decision_level == 0 and fully_propagated:
         for var in range(1, num_vars + 1):
-            if assign[var] == 0 and var not in position:
+            if values[var] == 0 and position[var] < 0:
                 _fail(solver, "unassigned var %d fell out of the VSIDS heap" % var)

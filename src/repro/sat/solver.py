@@ -49,11 +49,32 @@ Literals use the DIMACS convention of :mod:`repro.sat.cnf` (positive ints
 are variables, negation is arithmetic negation), and the solver exposes the
 same ``new_var`` / ``add_clause`` sink protocol as :class:`repro.sat.cnf.CNF`
 so Tseitin encodings can stream straight into it.
+
+Data layout.  Clauses, the trail, the proof log and the public API all
+carry DIMACS literals unchanged; the hot loops index by them directly:
+
+* ``_values`` is one **literal-indexed value table**: ``_values[l]`` is
+  ``+1`` when literal ``l`` is true, ``-1`` when false, ``0`` when
+  unassigned.  A positive literal ``v`` sits at index ``v``; its negation
+  ``-v`` lands in the tail through Python's negative indexing, so
+  ``_values[-v] == -_values[v]`` always holds and the value of variable
+  ``v`` is simply ``_values[v]``.  The table keeps at least
+  ``2 * num_vars + 1`` slots, the middle ones unused; :meth:`Solver.new_var`
+  doubles it when a new variable would make the halves meet.
+* ``_watches`` uses the same indexing and capacity: ``_watches[l]`` lists
+  the clauses watching literal ``l``;
+* ``_level``, ``_reason``, ``_phase``, ``_activity`` and ``_seen`` are
+  per-variable lists indexed ``1 … num_vars`` (slot 0 unused);
+* the VSIDS heap (:class:`_VarOrder`) keeps its position map in a list
+  indexed by variable, ``-1`` for a variable not in the heap.
+
+Propagation, backtracking, branching and activity bumping work on these
+lists through local bindings, with no per-literal method calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import repro.sat.sanitize as _sanitize
@@ -147,72 +168,40 @@ class _Clause:
 
 
 class _VarOrder:
-    """Indexed max-heap over variable activities (the VSIDS decision order)."""
+    """Indexed max-heap over variable activities (the VSIDS decision order).
+
+    ``_position[var]`` is ``var``'s index in ``_heap``, or ``-1`` when it is
+    not in the heap.  The solver's hot paths (backtracking, branching,
+    activity bumps) sift this heap inline.  Sift-up stops below a parent
+    at least as active; sift-down takes the right child only when it is
+    strictly more active than the left, and stops at a child no more
+    active than the sifted variable.  Every inline copy keeps exactly
+    these comparisons: they decide how ties between equal activities
+    break, and so the decision order.
+    """
 
     __slots__ = ("_heap", "_position", "_activity")
 
     def __init__(self, activity: List[float]) -> None:
         self._heap: List[int] = []
-        self._position: Dict[int, int] = {}
+        self._position: List[int] = [-1]
         self._activity = activity
 
-    def __contains__(self, var: int) -> bool:
-        return var in self._position
-
     def insert(self, var: int) -> None:
-        if var in self._position:
-            return
-        self._heap.append(var)
-        self._position[var] = len(self._heap) - 1
-        self._up(len(self._heap) - 1)
-
-    def bump(self, var: int) -> None:
-        position = self._position.get(var)
-        if position is not None:
-            self._up(position)
-
-    def pop(self) -> Optional[int]:
-        if not self._heap:
-            return None
-        top = self._heap[0]
-        last = self._heap.pop()
-        del self._position[top]
-        if self._heap:
-            self._heap[0] = last
-            self._position[last] = 0
-            self._down(0)
-        return top
-
-    def _up(self, index: int) -> None:
         heap, position, activity = self._heap, self._position, self._activity
-        var = heap[index]
+        if position[var] >= 0:
+            return
+        index = len(heap)
+        heap.append(var)
         score = activity[var]
         while index > 0:
             parent = (index - 1) >> 1
-            if activity[heap[parent]] >= score:
+            above = heap[parent]
+            if activity[above] >= score:
                 break
-            heap[index] = heap[parent]
-            position[heap[index]] = index
+            heap[index] = above
+            position[above] = index
             index = parent
-        heap[index] = var
-        position[var] = index
-
-    def _down(self, index: int) -> None:
-        heap, position, activity = self._heap, self._position, self._activity
-        size = len(heap)
-        var = heap[index]
-        score = activity[var]
-        while True:
-            child = 2 * index + 1
-            if child >= size:
-                break
-            if child + 1 < size and activity[heap[child + 1]] > activity[heap[child]]:
-                child += 1
-            if activity[heap[child]] <= score:
-                break
-            heap[index] = heap[child]
-            position[heap[index]] = index
-            index = child
         heap[index] = var
         position[var] = index
 
@@ -246,17 +235,18 @@ class Solver(ClauseSink):
         self.stats = SolverStats()
         self._ok = True
         self._num_vars = 0
+        # Literal-indexed value table (see the module docstring): +1 true,
+        # -1 false, 0 unassigned; ``_values[-v]`` is the negation's slot.
+        self._values: List[int] = [0] * 4
         # Per-variable state, 1-indexed (slot 0 unused).
-        self._assign: List[int] = [0]  # 0 unassigned, +1 true, -1 false
         self._level: List[int] = [0]
         self._reason: List[Optional[_Clause]] = [None]
         self._phase: List[bool] = [False]
         self._activity: List[float] = [0.0]
         self._seen: List[bool] = [False]
-        # Watches indexed by literal (2*var for positive, 2*var+1 for
-        # negative); each entry is a flat interleaved array
-        # ``[blocker, clause, blocker, clause, …]``.
-        self._watches: List[List[object]] = [[], []]
+        # Watches indexed like ``_values``; each entry is a flat interleaved
+        # array ``[blocker, clause, blocker, clause, …]``.
+        self._watches: List[List[object]] = [[] for _ in range(4)]
         self._clauses: List[_Clause] = []
         self._learnts: List[_Clause] = []
         self._trail: List[int] = []
@@ -268,7 +258,7 @@ class Solver(ClauseSink):
         self._cla_inc = 1.0
         self._cla_decay = clause_decay
         self._max_learnts = 1000.0
-        self._model: Dict[int, bool] = {}
+        self._model: Optional[Dict[int, bool]] = None
         self._conflict_core: Optional[FrozenSet[int]] = None
         self._next_inprocess = self._INPROCESS_INTERVAL
         self._true_literal = None
@@ -283,21 +273,100 @@ class Solver(ClauseSink):
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return it (a positive integer)."""
-        self._num_vars += 1
-        self._assign.append(0)
+        var = self._num_vars + 1
+        if 2 * var >= len(self._values):
+            self._grow()
+        self._num_vars = var
         self._level.append(0)
         self._reason.append(None)
         self._phase.append(False)
         self._activity.append(0.0)
         self._seen.append(False)
-        self._watches.append([])
-        self._watches.append([])
-        self._order.insert(self._num_vars)
-        return self._num_vars
+        self._order._position.append(-1)
+        self._order.insert(var)
+        return var
+
+    def _grow(self) -> None:
+        """Double the literal-indexed tables, keeping both halves in place."""
+        size = len(self._values)
+        count = self._num_vars
+        gap = size - 2 * count - 1  # the unused middle slots
+        head, tail = count + 1, size - count
+        self._values = self._values[:head] + [0] * (gap + size) + self._values[tail:]
+        self._watches = (
+            self._watches[:head] + [[] for _ in range(gap + size)] + self._watches[tail:]
+        )
 
     def _ensure_var(self, var: int) -> None:
         while self._num_vars < var:
             self.new_var()
+
+    def clone(self) -> "Solver":
+        """An independent copy of this solver, taken at decision level zero.
+
+        The copy carries every piece of state — clauses (problem and
+        learnt, in order), watch lists, the level-0 trail, activities, the
+        VSIDS heap, saved phases, schedules and :attr:`stats` — so it
+        searches exactly as this solver would from here.  It shares no
+        mutable list or clause with its source: clauses added to either
+        never reach the other.  Refused while a proof log is attached (a
+        log certifies one solver's history) or above decision level zero.
+        """
+        if self._proof is not None:
+            raise SatError("cannot clone a solver while a proof log is attached")
+        if self._trail_lim:
+            raise SatError("cannot clone a solver above decision level 0")
+        copies: Dict[int, _Clause] = {}
+
+        def twin_of(clause: _Clause) -> _Clause:
+            twin = copies.get(id(clause))
+            if twin is None:
+                twin = _Clause(list(clause.lits), clause.learnt, clause.lbd)
+                twin.activity = clause.activity
+                twin.removed = clause.removed
+                copies[id(clause)] = twin
+            return twin
+
+        other = Solver.__new__(Solver)
+        other.stats = replace(self.stats)
+        other._ok = self._ok
+        other._num_vars = self._num_vars
+        other._values = list(self._values)
+        other._level = list(self._level)
+        other._reason = [
+            None if reason is None else twin_of(reason) for reason in self._reason
+        ]
+        other._phase = list(self._phase)
+        other._activity = list(self._activity)
+        other._seen = list(self._seen)
+        other._clauses = [twin_of(clause) for clause in self._clauses]
+        other._learnts = [twin_of(clause) for clause in self._learnts]
+        known = copies.get  # watched clauses are mostly copied already
+        watches = []
+        for watchers in self._watches:
+            copied = list(watchers)
+            copied[1::2] = [
+                known(id(clause)) or twin_of(clause) for clause in watchers[1::2]
+            ]
+            watches.append(copied)
+        other._watches = watches
+        other._trail = list(self._trail)
+        other._trail_lim = []
+        other._qhead = self._qhead
+        other._order = _VarOrder(other._activity)
+        other._order._heap = list(self._order._heap)
+        other._order._position = list(self._order._position)
+        other._var_inc = self._var_inc
+        other._var_decay = self._var_decay
+        other._cla_inc = self._cla_inc
+        other._cla_decay = self._cla_decay
+        other._max_learnts = self._max_learnts
+        other._model = None if self._model is None else dict(self._model)
+        other._conflict_core = self._conflict_core
+        other._next_inprocess = self._next_inprocess
+        other._true_literal = self._true_literal
+        other._proof = None
+        return other
 
     # -- proof logging -----------------------------------------------------
 
@@ -351,12 +420,15 @@ class Solver(ClauseSink):
             self._proof.input(literals)
         seen_here: Dict[int, int] = {}
         simplified: List[int] = []
+        values = self._values
         for literal in literals:
             if literal == 0:
                 raise SatError("0 is not a literal (it terminates DIMACS clauses)")
             var = abs(literal)
-            self._ensure_var(var)
-            value = self._value(literal)
+            if var > self._num_vars:
+                self._ensure_var(var)
+                values = self._values
+            value = values[literal]
             if value == 1:
                 return True  # satisfied at level 0
             if value == -1:
@@ -388,56 +460,58 @@ class Solver(ClauseSink):
 
     # -- assignments -----------------------------------------------------------
 
-    @staticmethod
-    def _watch_index(literal: int) -> int:
-        return 2 * literal if literal > 0 else -2 * literal + 1
-
-    def _value(self, literal: int) -> int:
-        """+1 when ``literal`` is true, -1 when false, 0 when unassigned."""
-        value = self._assign[abs(literal)]
-        return -value if literal < 0 else value
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _enqueue(self, literal: int, reason: Optional[_Clause]) -> None:
+        values = self._values
+        values[literal] = 1
+        values[-literal] = -1
         var = abs(literal)
-        self._assign[var] = 1 if literal > 0 else -1
-        self._level[var] = self._decision_level()
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._phase[var] = literal > 0
         self._trail.append(literal)
 
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
+        bound = trail_lim[level]
+        trail = self._trail
+        values = self._values
+        reasons = self._reason
         order = self._order
-        for index in range(len(self._trail) - 1, bound - 1, -1):
-            var = abs(self._trail[index])
-            self._assign[var] = 0
-            self._reason[var] = None
-            order.insert(var)
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        heap, position, activity = order._heap, order._position, self._activity
+        for literal in reversed(trail[bound:]):
+            values[literal] = 0
+            values[-literal] = 0
+            var = literal if literal > 0 else -literal
+            reasons[var] = None
+            if position[var] < 0:
+                # _VarOrder.insert, inline.
+                index = len(heap)
+                heap.append(var)
+                score = activity[var]
+                while index > 0:
+                    parent = (index - 1) >> 1
+                    above = heap[parent]
+                    if activity[above] >= score:
+                        break
+                    heap[index] = above
+                    position[above] = index
+                    index = parent
+                heap[index] = var
+                position[var] = index
+        del trail[bound:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     def _attach(self, clause: _Clause) -> None:
         lits = clause.lits
-        watchers = self._watches[self._watch_index(lits[0])]
+        watchers = self._watches[lits[0]]
         watchers.append(lits[1])
         watchers.append(clause)
-        watchers = self._watches[self._watch_index(lits[1])]
+        watchers = self._watches[lits[1]]
         watchers.append(lits[0])
         watchers.append(clause)
-
-    def _detach(self, clause: _Clause) -> None:
-        for literal in clause.lits[:2]:
-            watchers = self._watches[self._watch_index(literal)]
-            for index in range(1, len(watchers), 2):
-                if watchers[index] is clause:
-                    del watchers[index - 1 : index + 1]
-                    break
 
     # -- propagation -----------------------------------------------------------
 
@@ -447,14 +521,23 @@ class Solver(ClauseSink):
         Watch lists are flat interleaved ``blocker, clause`` arrays: a true
         blocker satisfies the clause without touching it, and entries whose
         clause was logically deleted (``removed``) are purged in passing.
+        Implied literals are enqueued inline (as :meth:`_enqueue` would), and
+        ``_qhead`` and ``stats.propagations`` are settled once per call.
         """
-        stats = self.stats
-        while self._qhead < len(self._trail):
-            literal = self._trail[self._qhead]
-            self._qhead += 1
-            stats.propagations += 1
-            false_literal = -literal
-            watchers = self._watches[self._watch_index(false_literal)]
+        trail = self._trail
+        start = qhead = self._qhead
+        if qhead >= len(trail):
+            return None
+        values = self._values
+        watches = self._watches
+        levels = self._level
+        reasons = self._reason
+        phase = self._phase
+        level = len(self._trail_lim)
+        while qhead < len(trail):
+            false_literal = -trail[qhead]
+            qhead += 1
+            watchers = watches[false_literal]
             index = 0
             kept = 0
             size = len(watchers)
@@ -462,7 +545,7 @@ class Solver(ClauseSink):
                 blocker = watchers[index]
                 clause = watchers[index + 1]
                 index += 2
-                if self._value(blocker) == 1:
+                if values[blocker] == 1:
                     watchers[kept] = blocker
                     watchers[kept + 1] = clause
                     kept += 2
@@ -474,15 +557,16 @@ class Solver(ClauseSink):
                 if lits[0] == false_literal:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if first != blocker and self._value(first) == 1:
+                if first != blocker and values[first] == 1:
                     watchers[kept] = first
                     watchers[kept + 1] = clause
                     kept += 2
                     continue
                 for position in range(2, len(lits)):
-                    if self._value(lits[position]) != -1:
-                        lits[1], lits[position] = lits[position], lits[1]
-                        moved = self._watches[self._watch_index(lits[1])]
+                    other = lits[position]
+                    if values[other] != -1:
+                        lits[1], lits[position] = other, lits[1]
+                        moved = watches[other]
                         moved.append(first)
                         moved.append(clause)
                         break
@@ -490,29 +574,25 @@ class Solver(ClauseSink):
                     watchers[kept] = first
                     watchers[kept + 1] = clause
                     kept += 2
-                    if self._value(first) == -1:
+                    if values[first] == -1:
                         # Conflict: keep the unvisited suffix watched, too.
-                        while index < size:
-                            watchers[kept] = watchers[index]
-                            watchers[kept + 1] = watchers[index + 1]
-                            kept += 2
-                            index += 2
-                        del watchers[kept:]
-                        self._qhead = len(self._trail)
+                        del watchers[kept:index]
+                        self.stats.propagations += qhead - start
+                        self._qhead = len(trail)
                         return clause
-                    self._enqueue(first, clause)
+                    values[first] = 1
+                    values[-first] = -1
+                    var = first if first > 0 else -first
+                    levels[var] = level
+                    reasons[var] = clause
+                    phase[var] = first > 0
+                    trail.append(first)
             del watchers[kept:]
+        self.stats.propagations += qhead - start
+        self._qhead = qhead
         return None
 
     # -- activities ---------------------------------------------------------------
-
-    def _var_bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > self._RESCALE_LIMIT:
-            for index in range(1, self._num_vars + 1):
-                self._activity[index] *= 1e-100
-            self._var_inc *= 1e-100
-        self._order.bump(var)
 
     def _var_decay_tick(self) -> None:
         self._var_inc /= self._var_decay
@@ -532,7 +612,9 @@ class Solver(ClauseSink):
     def _clause_lbd(self, lits: Sequence[int]) -> int:
         """The literal-block distance: distinct decision levels spanned."""
         level = self._level
-        return len({level[abs(literal)] for literal in lits if level[abs(literal)] > 0})
+        levels = {level[literal if literal > 0 else -literal] for literal in lits}
+        levels.discard(0)
+        return len(levels)
 
     def _analyze(self, conflict: _Clause) -> Tuple[List[int], int, int]:
         """First-UIP learning; returns ``(learnt_clause, backjump_level, lbd)``.
@@ -543,11 +625,18 @@ class Solver(ClauseSink):
         graph), and its LBD is measured before backjumping while the levels
         are still live.  Learnt clauses revisited on the resolution path get
         their stored LBD lowered when the re-measure comes out smaller.
+
+        Every variable met on the way gets its VSIDS activity bumped (and
+        sifted up the heap) inline.
         """
         seen = self._seen
         level = self._level
         trail = self._trail
-        current_level = self._decision_level()
+        reasons = self._reason
+        activity = self._activity
+        heap, heap_position = self._order._heap, self._order._position
+        var_inc = self._var_inc
+        current_level = len(self._trail_lim)
         learnt: List[int] = [0]  # placeholder for the asserting literal
         to_clear: List[int] = []
         path_count = 0
@@ -561,25 +650,45 @@ class Solver(ClauseSink):
                 fresh_lbd = self._clause_lbd(clause.lits)
                 if 0 < fresh_lbd < clause.lbd:
                     clause.lbd = fresh_lbd
-            start = 0 if literal == 0 else 1
-            for position in range(start, len(clause.lits)):
-                other = clause.lits[position]
-                var = abs(other)
+            lits = clause.lits
+            for position in range(0 if literal == 0 else 1, len(lits)):
+                other = lits[position]
+                var = other if other > 0 else -other
                 if not seen[var] and level[var] > 0:
                     seen[var] = True
                     to_clear.append(var)
-                    self._var_bump(var)
+                    score = activity[var] + var_inc
+                    activity[var] = score
+                    if score > self._RESCALE_LIMIT:
+                        for slot in range(1, self._num_vars + 1):
+                            activity[slot] *= 1e-100
+                        var_inc *= 1e-100
+                        self._var_inc = var_inc
+                        score = activity[var]
+                    slot = heap_position[var]
+                    if slot >= 0:
+                        # _VarOrder sift-up, inline.
+                        while slot > 0:
+                            parent = (slot - 1) >> 1
+                            above = heap[parent]
+                            if activity[above] >= score:
+                                break
+                            heap[slot] = above
+                            heap_position[above] = slot
+                            slot = parent
+                        heap[slot] = var
+                        heap_position[var] = slot
                     if level[var] >= current_level:
                         path_count += 1
                     else:
                         learnt.append(other)
             while True:
                 index -= 1
-                if seen[abs(trail[index])]:
+                literal = trail[index]
+                if seen[literal if literal > 0 else -literal]:
                     break
-            literal = trail[index]
-            var = abs(literal)
-            clause = self._reason[var]
+            var = literal if literal > 0 else -literal
+            clause = reasons[var]
             seen[var] = False
             path_count -= 1
             if path_count == 0:
@@ -590,7 +699,7 @@ class Solver(ClauseSink):
         # fixed at level 0).
         kept = [learnt[0]]
         for other in learnt[1:]:
-            reason = self._reason[abs(other)]
+            reason = reasons[abs(other)]
             if reason is None:
                 kept.append(other)
                 continue
@@ -620,7 +729,7 @@ class Solver(ClauseSink):
         ``failing`` itself the result is an unsatisfiable core over the
         assumption literals."""
         core = {failing}
-        if self._decision_level() == 0:
+        if not self._trail_lim:
             return frozenset(core)
         seen = self._seen
         level = self._level
@@ -682,13 +791,36 @@ class Solver(ClauseSink):
     # -- search --------------------------------------------------------------------
 
     def _pick_branch_literal(self) -> Optional[int]:
-        order = self._order
-        while True:
-            var = order.pop()
-            if var is None:
-                return None
-            if self._assign[var] == 0:
-                return var if self._phase[var] else -var
+        """Pop the most active unassigned variable; its saved phase decides."""
+        heap, position = self._order._heap, self._order._position
+        activity = self._activity
+        values = self._values
+        while heap:
+            top = heap[0]
+            last = heap.pop()
+            position[top] = -1
+            if heap:
+                # Sift `last` down from the root, inline.
+                size = len(heap)
+                score = activity[last]
+                index = 0
+                while True:
+                    child = 2 * index + 1
+                    if child >= size:
+                        break
+                    if child + 1 < size and activity[heap[child + 1]] > activity[heap[child]]:
+                        child += 1
+                    below = heap[child]
+                    if activity[below] <= score:
+                        break
+                    heap[index] = below
+                    position[below] = index
+                    index = child
+                heap[index] = last
+                position[last] = index
+            if values[top] == 0:
+                return top if self._phase[top] else -top
+        return None
 
     def _record_learnt(self, learnt: List[int], lbd: int, promote: bool = False) -> None:
         if self._proof is not None:
@@ -716,7 +848,7 @@ class Solver(ClauseSink):
                 conflicts_here += 1
                 if not self.stats.conflicts & 255:
                     _checkpoint("sat.conflict", sat_conflicts=self.stats.conflicts)
-                if self._decision_level() == 0:
+                if not self._trail_lim:
                     self._ok = False
                     self._conflict_core = frozenset()
                     return False
@@ -755,9 +887,9 @@ class Solver(ClauseSink):
             if len(self._learnts) >= self._max_learnts + len(self._trail):
                 self._reduce_db()
             literal: Optional[int] = None
-            while self._decision_level() < len(assumptions):
-                assumption = assumptions[self._decision_level()]
-                value = self._value(assumption)
+            while len(self._trail_lim) < len(assumptions):
+                assumption = assumptions[len(self._trail_lim)]
+                value = self._values[assumption]
                 if value == 1:
                     self._trail_lim.append(len(self._trail))  # dummy level
                 elif value == -1:
@@ -769,8 +901,9 @@ class Solver(ClauseSink):
             if literal is None:
                 literal = self._pick_branch_literal()
                 if literal is None:
+                    values = self._values
                     self._model = {
-                        var: self._assign[var] > 0 for var in range(1, self._num_vars + 1)
+                        var: values[var] > 0 for var in range(1, self._num_vars + 1)
                     }
                     return True
                 self.stats.decisions += 1
@@ -810,7 +943,7 @@ class Solver(ClauseSink):
                 raise SatError("0 is not a literal")
             self._ensure_var(abs(literal))
         self.stats.solve_calls += 1
-        self._model = {}  # a stale model must not survive an UNSAT answer
+        self._model = None  # a stale model must not survive an UNSAT answer
         self._conflict_core = None
         self._cancel_until(0)
         if not self._ok:
@@ -929,7 +1062,7 @@ class Solver(ClauseSink):
                 satisfied = False
                 has_false = False
                 for literal in lits:
-                    value = self._value(literal)
+                    value = self._values[literal]
                     if value == 1:
                         satisfied = True
                         break
@@ -943,7 +1076,7 @@ class Solver(ClauseSink):
                 if has_false:
                     original = list(lits) if self._proof is not None else None
                     lits[2:] = [
-                        literal for literal in lits[2:] if self._value(literal) != -1
+                        literal for literal in lits[2:] if self._values[literal] != -1
                     ]
                     if original is not None and len(lits) < len(original):
                         self._proof.add(lits)
@@ -1034,8 +1167,8 @@ class Solver(ClauseSink):
 
     def _readd(self, lits: List[int], learnt: bool, lbd: int) -> bool:
         """Attach a rewritten clause (after strengthening or vivification)."""
-        lits = [literal for literal in lits if self._value(literal) != -1]
-        if any(self._value(literal) == 1 for literal in lits):
+        lits = [literal for literal in lits if self._values[literal] != -1]
+        if any(self._values[literal] == 1 for literal in lits):
             return True
         if self._proof is not None:
             self._proof.add(lits)
@@ -1079,17 +1212,17 @@ class Solver(ClauseSink):
         for clause in candidates[: self._VIVIFY_CLAUSE_LIMIT]:
             if clause.removed:
                 continue
-            if any(self._value(literal) == 1 for literal in clause.lits):
+            if any(self._values[literal] == 1 for literal in clause.lits):
                 clause.removed = True
                 if self._proof is not None:
                     self._proof.delete(clause.lits)
                 continue
-            lits = [literal for literal in clause.lits if self._value(literal) == 0]
+            lits = [literal for literal in clause.lits if self._values[literal] == 0]
             clause.removed = True  # detached: the probe must not use the clause itself
             shortened: List[int] = []
             conflicted = False
             for literal in lits:
-                value = self._value(literal)
+                value = self._values[literal]
                 if value == 1:
                     # The negated prefix already implies this literal.
                     shortened.append(literal)
@@ -1118,7 +1251,7 @@ class Solver(ClauseSink):
 
     def model_value(self, literal: int) -> bool:
         """The last model's value of ``literal`` (only valid after a SAT answer)."""
-        if not self._model:
+        if self._model is None:
             raise SatError("no model available; the last solve() did not return SAT")
         value = self._model.get(abs(literal))
         if value is None:
@@ -1127,7 +1260,7 @@ class Solver(ClauseSink):
 
     def model(self) -> Dict[int, bool]:
         """The last model as a ``{variable: truth value}`` dictionary."""
-        if not self._model:
+        if self._model is None:
             raise SatError("no model available; the last solve() did not return SAT")
         return dict(self._model)
 

@@ -174,8 +174,23 @@ class TestSATAudit:
 
     def test_detects_phantom_assignment(self):
         solver = _solved_solver()
-        solver._assign[1] = 1  # assigned, but never pushed on the trail
+        # Assigned (consistently, both literal slots), but never pushed on
+        # the trail.
+        solver._values[1] = 1
+        solver._values[-1] = -1
         with pytest.raises(SanitizerError, match="missing from the trail"):
+            check_solver(solver)
+
+    def test_detects_inconsistent_value_table(self):
+        solver = _solved_solver()
+        solver._values[2] = 1  # the positive slot only; table[-2] still says 0
+        with pytest.raises(SanitizerError, match="value table is inconsistent"):
+            check_solver(solver)
+
+    def test_detects_assignment_beyond_num_vars(self):
+        solver = _solved_solver()
+        solver._values[solver.num_vars + 1] = 1  # a slot of the unused middle
+        with pytest.raises(SanitizerError, match="beyond num_vars"):
             check_solver(solver)
 
     def test_detects_corrupt_blocker(self):

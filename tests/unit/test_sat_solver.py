@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.sat.cnf import CNF, SatError, evaluate_clauses, naive_satisfiable
+from repro.sat.drat import check_proof
 from repro.sat.fuzz import random_3cnf, run_fuzz
 from repro.sat.solver import Solver, luby
 
@@ -24,7 +25,9 @@ def test_luby_sequence():
 
 
 def test_empty_formula_is_satisfiable():
-    assert Solver().solve()
+    solver = Solver()
+    assert solver.solve()
+    assert solver.model() == {}
 
 
 def test_unit_propagation_chain():
@@ -268,3 +271,199 @@ def test_glue_reduction_keeps_binary_clauses_sound():
         if solver.solve(assumptions=[-var]):
             assert not solver.model_value(var)
     assert solver.stats.deleted_clauses > 0 or solver.stats.conflicts < 10
+
+
+# ---------------------------------------------------------------------------
+# Search identity: the counters below were recorded before the propagation,
+# heap and value-table internals were last rewritten.  A change to the
+# solver's speed must leave them exactly as they are; a change to its
+# heuristics has to re-record them on purpose.
+# ---------------------------------------------------------------------------
+
+_PINNED_FIELDS = ("conflicts", "decisions", "propagations", "learned_clauses", "restarts")
+
+
+def _pigeonhole_stats():
+    solver = Solver()
+    pigeon = {(i, j): solver.new_var() for i in range(6) for j in range(5)}
+    for i in range(6):
+        solver.add_clause([pigeon[(i, j)] for j in range(5)])
+    for j in range(5):
+        for first in range(6):
+            for second in range(first + 1, 6):
+                solver.add_clause([-pigeon[(first, j)], -pigeon[(second, j)]])
+    assert not solver.solve()
+    return solver.stats.as_dict()
+
+
+def _random_3cnf_stats(seed):
+    solver = _solver_for(random_3cnf(random.Random(seed), 60, 256))
+    solver.solve()
+    return solver.stats.as_dict()
+
+
+def _bmc_buggy_mutex_stats():
+    from repro.mc.bmc import BoundedModelChecker
+    from repro.systems.mutex import build_mutex, mutex_safety
+
+    checker = BoundedModelChecker(build_mutex(4, buggy=True))
+    assert not checker.check(mutex_safety(4))
+    return checker.stats()
+
+
+def _ic3_mutex_stats():
+    from repro.mc.ic3 import IC3ModelChecker
+    from repro.systems.mutex import build_mutex, mutex_safety
+
+    checker = IC3ModelChecker(build_mutex(4))
+    assert checker.check(mutex_safety(4))
+    return checker.stats()
+
+
+def _ic3_free_mutex_stats():
+    from repro.mc.ic3 import IC3ModelChecker
+    from repro.systems.mutex import mutex_safety, symbolic_mutex
+
+    checker = IC3ModelChecker(symbolic_mutex(4, domain="free"))
+    assert checker.check(mutex_safety(4))
+    return checker.stats()
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        pytest.param(_pigeonhole_stats, (155, 201, 1790, 150, 1), id="php-6-5"),
+        pytest.param(lambda: _random_3cnf_stats(0), (86, 97, 1607, 77, 0), id="3cnf-seed0"),
+        pytest.param(lambda: _random_3cnf_stats(1), (29, 45, 530, 29, 0), id="3cnf-seed1"),
+        pytest.param(lambda: _random_3cnf_stats(2), (134, 155, 1835, 129, 1), id="3cnf-seed2"),
+        pytest.param(lambda: _random_3cnf_stats(3), (93, 108, 1664, 93, 0), id="3cnf-seed3"),
+        pytest.param(lambda: _random_3cnf_stats(4), (56, 88, 876, 54, 0), id="3cnf-seed4"),
+        pytest.param(_bmc_buggy_mutex_stats, (759, 2064, 176029, 752, 3), id="bmc-buggy-mutex-4"),
+        pytest.param(_ic3_mutex_stats, (0, 0, 56, 0, 0), id="ic3-mutex-4"),
+        pytest.param(_ic3_free_mutex_stats, (396, 1211, 21669, 383, 0), id="ic3-free-mutex-4"),
+    ],
+)
+def test_search_is_pinned(run, expected):
+    stats = run()
+    assert tuple(stats[field] for field in _PINNED_FIELDS) == expected
+
+
+# ---------------------------------------------------------------------------
+# Solver.clone
+# ---------------------------------------------------------------------------
+
+
+def _loaded(seed=7, num_vars=40, num_clauses=160):
+    return _solver_for(random_3cnf(random.Random(seed), num_vars, num_clauses))
+
+
+def test_clone_shares_no_mutable_state():
+    source = _loaded()
+    source.solve()
+    twin = source.clone()
+    assert vars(twin).keys() == vars(source).keys()
+    for name, value in vars(source).items():
+        if isinstance(value, (list, dict)):
+            assert vars(twin)[name] is not value, name
+    assert twin.stats is not source.stats
+    assert twin._order._heap is not source._order._heap
+    assert twin._order._position is not source._order._position
+    assert twin._order._activity is twin._activity
+    source_clauses = {id(clause) for clause in source._clauses + source._learnts}
+    twin_clauses = twin._clauses + twin._learnts
+    assert not source_clauses & {id(clause) for clause in twin_clauses}
+    for watchers in twin._watches:
+        for clause in watchers[1::2]:
+            assert id(clause) not in source_clauses
+
+
+def test_clone_clauses_never_reach_source_or_sibling():
+    source = Solver()
+    x, y, z = (source.new_var() for _ in range(3))
+    source.add_clause([x, y])
+    first, second = source.clone(), source.clone()
+    first.add_clause([-x])
+    first.add_clause([-y, z])
+    assert not first.solve(assumptions=[-z])
+    for other in (source, second):
+        assert other.solve(assumptions=[-x, -z])
+        assert other.model_value(y)
+        assert other.num_clauses == 1
+    second.add_clause([-y])
+    assert first.solve()
+    assert first.model_value(y) and first.model_value(z)
+
+
+def test_solving_a_clone_leaves_the_source_untouched():
+    source = _loaded()
+
+    def snapshot(solver):
+        return (
+            list(solver._values),
+            list(solver._trail),
+            solver._trail_lim == [],
+            solver.stats.as_dict(),
+            [list(clause.lits) for clause in solver._clauses],
+            [list(watchers[0::2]) for watchers in solver._watches],
+            list(solver._activity),
+            list(solver._order._heap),
+        )
+
+    before = snapshot(source)
+    twin = source.clone()
+    twin.solve()
+    twin.solve(assumptions=[1, -2, 3])
+    twin.add_clause([4, 5])
+    twin.inprocess()
+    assert twin.stats.conflicts > 0
+    assert snapshot(source) == before
+
+
+def test_clone_searches_exactly_like_a_freshly_loaded_solver():
+    cnf = random_3cnf(random.Random(11), 50, 205)
+    fresh = _solver_for(cnf)
+    twin = _solver_for(cnf).clone()
+    rng = random.Random(3)
+    for round_number in range(30):
+        assumptions = [
+            var if rng.random() < 0.5 else -var for var in rng.sample(range(1, 51), k=4)
+        ]
+        verdicts = [solver.solve(assumptions) for solver in (fresh, twin)]
+        assert verdicts[0] == verdicts[1]
+        if verdicts[0]:
+            assert fresh.model() == twin.model()
+        else:
+            assert fresh.unsat_core() == twin.unsat_core()
+        assert fresh.stats == twin.stats
+        if round_number % 5 == 4:
+            extra = [var if rng.random() < 0.5 else -var for var in rng.sample(range(1, 51), k=3)]
+            fresh.add_clause(extra)
+            twin.add_clause(extra)
+
+
+def test_clone_proof_certifies_its_unsat_answer():
+    source = Solver()
+    pigeon = {(i, j): source.new_var() for i in range(4) for j in range(3)}
+    for i in range(4):
+        source.add_clause([pigeon[(i, j)] for j in range(3)])
+    twin = source.clone()
+    log = twin.start_proof()
+    for j in range(3):
+        for first in range(4):
+            for second in range(first + 1, 4):
+                twin.add_clause([-pigeon[(first, j)], -pigeon[(second, j)]])
+    assert not twin.solve()
+    assert check_proof(log)["unsat_checks"] == 1
+    assert source.proof is None and source.solve()
+
+
+def test_clone_refused_with_a_proof_log_or_above_level_zero():
+    solver = Solver()
+    solver.add_clause([1, 2])
+    solver.start_proof()
+    with pytest.raises(SatError, match="proof log"):
+        solver.clone()
+    solver.stop_proof()
+    solver._trail_lim.append(len(solver._trail))  # as if mid-search
+    with pytest.raises(SatError, match="decision level 0"):
+        solver.clone()
