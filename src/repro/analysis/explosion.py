@@ -110,7 +110,8 @@ def symbolic_token_ring_explosion_sweep(
     The counterpart of :func:`token_ring_explosion_sweep` for the BDD engine:
     every structure is a direct symbolic encoding (the explicit global graph
     is never built) and the index quantifiers of the Section 5 properties are
-    instantiated by the symbolic checker itself.  Sizes ≥ 10 — beyond what
+    evaluated by the symbolic checker itself (one process checked, the rest
+    by the ring's rotation symmetry).  Sizes ≥ 10 — beyond what
     the explicit engines can reach in reasonable time — are the intended use.
     """
     checks = formulas if formulas is not None else token_ring.ring_properties()

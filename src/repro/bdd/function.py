@@ -141,6 +141,10 @@ class BDDFunction:
         """Order-preserving variable substitution (see :meth:`BDDManager.rename`)."""
         return self._wrap(self.manager.rename(self.node, mapping, tag))
 
+    def permute(self, mapping: Mapping[int, int]) -> "BDDFunction":
+        """General injective variable substitution (see :meth:`BDDManager.permute`)."""
+        return self._wrap(self.manager.permute(self.node, mapping))
+
     # -- inspection ------------------------------------------------------------
 
     @property

@@ -32,11 +32,12 @@ Operations
 Every binary connective is routed through one unified, *iterative*
 (explicit-stack) :meth:`ite` with the standard normalizations, sharing a
 single operation cache — deep variable orders can never hit Python's
-recursion limit.  ``exists``/``relprod``/``rename``/``restrict`` run their
-own explicit-stack walks on top of the same machinery.  All operation caches
-are bounded (stale halves are evicted wholesale), instrumented with
-hit/miss/evict counters, clearable via :meth:`clear_caches`, and cleared
-automatically by :meth:`collect` and :meth:`reorder`.
+recursion limit.  ``exists``/``relprod``/``rename``/``permute``/``restrict``
+run their own explicit-stack walks on top of the same machinery.  All
+operation caches are bounded (stale halves are evicted wholesale),
+instrumented with hit/miss/evict counters, clearable via
+:meth:`clear_caches`, and cleared automatically by :meth:`collect` and
+:meth:`reorder`.
 
 Memory management
 -----------------
@@ -229,16 +230,19 @@ class BDDManager:
         self._relprod_cache = _OpCache("relprod", cache_limit)
         self._rename_cache = _OpCache("rename", cache_limit)
         self._restrict_cache = _OpCache("restrict", cache_limit)
+        self._permute_cache = _OpCache("permute", cache_limit)
         self._caches = (
             self._ite_cache,
             self._exists_cache,
             self._relprod_cache,
             self._rename_cache,
             self._restrict_cache,
+            self._permute_cache,
         )
         # Interning tables keeping cache keys small-int-only: quantification
-        # cubes and rename tags are mapped to dense ids, so a cache lookup
-        # never re-hashes a long tuple.  Cleared together with the caches.
+        # cubes and rename/permute mappings are mapped to dense ids, so a
+        # cache lookup never re-hashes a long tuple.  Cleared together with
+        # the caches.
         self._cube_intern: Dict[Tuple[int, ...], int] = {}
         self._tag_intern: Dict[Tuple, int] = {}
         # Health counters.
@@ -807,12 +811,7 @@ class BDDManager:
             self._ensure_var(var)
             self._ensure_var(target)
         self._maybe_reorder()
-        canonical = tuple(sorted(mapping.items()))
-        intern = self._tag_intern
-        tag_id = intern.get(canonical)
-        if tag_id is None:
-            tag_id = len(intern)
-            intern[canonical] = tag_id
+        tag_id = self._mapping_id(mapping)
         v2l = self._var2level
         items = sorted(mapping.items(), key=lambda item: v2l[item[0]])
         for (_, fa), (_, fb) in zip(items, items[1:]):
@@ -868,6 +867,82 @@ class BDDManager:
                         "variable %d maps at or below a renamed child" % (new_var,)
                     )
                 r = self._mk(new_var, rl, rh)
+                cache.room()
+                data[frame[2]] = r
+                results.append(r ^ frame[3])
+        return results[-1]
+
+    def _mapping_id(self, mapping: Mapping[int, int]) -> int:
+        """The dense id of a variable mapping, derived from its content."""
+        canonical = tuple(sorted(mapping.items()))
+        intern = self._tag_intern
+        tag_id = intern.get(canonical)
+        if tag_id is None:
+            tag_id = len(intern)
+            intern[canonical] = tag_id
+        return tag_id
+
+    def permute(self, u: int, mapping: Mapping[int, int]) -> int:
+        """Substitute variables per an injective ``mapping`` (var → var), in any order.
+
+        The general counterpart of :meth:`rename`: the mapping need not
+        respect the variable order (a rotation of process blocks, say), so
+        each node is rebuilt bottom-up as ``ite(var(π(v)), P(high),
+        P(low))`` — a plain ``_mk`` whenever ``π(v)`` still sits above both
+        rebuilt children.  Unmapped variables keep their place and the
+        substitution is simultaneous, so ``evaluate(permute(u, π), a) ==
+        evaluate(u, a ∘ π)``.  Results are cached per ``(mapping, node)``.
+        """
+        if len(set(mapping.values())) != len(mapping):
+            raise BDDError("permute mapping is not injective: %r" % (dict(mapping),))
+        for var, target in mapping.items():
+            self._ensure_var(var)
+            self._ensure_var(target)
+        self._maybe_reorder()
+        return self._permute(u, dict(mapping), self._mapping_id(mapping))
+
+    def _permute(self, u: int, mapping: Dict[int, int], tag: int) -> int:
+        cache = self._permute_cache
+        data = cache.data
+        varr = self._varr
+        lo_ = self._lo
+        hi_ = self._hi
+        lvl = self._lvl
+        v2l = self._var2level
+        tasks: List[Tuple] = [(0, u)]
+        results: List[int] = []
+        while tasks:
+            frame = tasks.pop()
+            if frame[0] == 0:
+                e = frame[1]
+                n = e >> 1
+                if n == 0:
+                    results.append(e)
+                    continue
+                c = e & 1
+                key = (tag, n)
+                r = data.get(key)
+                if r is not None:
+                    cache.hits += 1
+                    results.append(r ^ c)
+                    continue
+                cache.misses += 1
+                var = varr[n]
+                tasks.append((1, mapping.get(var, var), key, c))
+                tasks.append((0, lo_[n]))
+                tasks.append((0, hi_[n]))
+            else:
+                rl = results.pop()
+                rh = results.pop()
+                new_var = frame[1]
+                child_top = lvl[rl >> 1]
+                other = lvl[rh >> 1]
+                if other < child_top:
+                    child_top = other
+                if v2l[new_var] < child_top:
+                    r = self._mk(new_var, rl, rh)
+                else:
+                    r = self._ite(self._mk(new_var, 0, 1), rh, rl)
                 cache.room()
                 data[frame[2]] = r
                 results.append(r ^ frame[3])

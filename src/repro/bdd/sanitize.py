@@ -240,6 +240,7 @@ def check_manager(manager) -> None:
     check_cache("exists", key_edges=(0,), key_nodes=())
     check_cache("relprod", key_edges=(0, 1), key_nodes=())
     check_cache("rename", key_edges=(), key_nodes=(1,))
+    check_cache("permute", key_edges=(), key_nodes=(1,))
 
 
 @contextmanager

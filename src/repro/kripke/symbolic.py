@@ -53,6 +53,7 @@ from typing import (
     FrozenSet,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -76,7 +77,13 @@ from repro.logic.ast import (
     TrueLiteral,
 )
 
-__all__ = ["SymbolicKripkeStructure", "ProcessFamilyEncoding", "family_domain", "symbolic_structure"]
+__all__ = [
+    "SymbolicKripkeStructure",
+    "ProcessFamilyEncoding",
+    "ProcessSymmetry",
+    "family_domain",
+    "symbolic_structure",
+]
 
 #: Chunk size for partitioning the transition relation of explicit encodings.
 _EXPLICIT_PARTITION_CHUNK = 256
@@ -87,6 +94,19 @@ _CLUSTER_NODE_CAP = 2048
 #: A transition part as accepted by the constructor: one BDD edge, or a
 #: sequence of conjunct edges to be conjoined with early quantification.
 TransitionPart = Union[int, Sequence[int]]
+
+
+class ProcessSymmetry(NamedTuple):
+    """A candidate process symmetry ρ of a family encoding.
+
+    ``var_map`` is the BDD variable permutation (absent variables are
+    fixed) and ``sigma`` the index permutation it induces on the indexed
+    labels: ``ρ(p_k)`` should be ``p_σ(k)``.  A candidate proves nothing
+    by itself — :meth:`SymbolicKripkeStructure.verified_symmetry` checks it.
+    """
+
+    var_map: Mapping[int, int]
+    sigma: Mapping[int, int]
 
 
 class _Cluster:
@@ -167,6 +187,10 @@ class SymbolicKripkeStructure:
     encode_assignment / decode_assignment:
         Callbacks translating between states and ``{var: bool}`` truth
         assignments over the current variables.
+    symmetry:
+        A candidate :class:`ProcessSymmetry` (family encodings pass
+        :meth:`ProcessFamilyEncoding.rotation`); used only once
+        :meth:`verified_symmetry` has proven it.
     """
 
     def __init__(
@@ -182,6 +206,7 @@ class SymbolicKripkeStructure:
         encode_assignment: Optional[Callable[[State], Dict[int, bool]]] = None,
         decode_assignment: Optional[Callable[[Mapping[int, bool]], State]] = None,
         name: Optional[str] = None,
+        symmetry: Optional[ProcessSymmetry] = None,
     ) -> None:
         if num_bits < 1:
             raise StructureError("a symbolic structure needs at least one state bit")
@@ -230,6 +255,9 @@ class SymbolicKripkeStructure:
             self._name = name
             self._exactly_one_nodes: Dict[str, BDDFunction] = {}
             self._transition_total: Optional[BDDFunction] = None
+            self._symmetry = symmetry
+            self._symmetry_reason: Optional[str] = None
+            self._symmetry_checked = False
             sp.set(name=name, bits=num_bits, clusters=len(self._clusters))
         _metrics.gauge("build.state_bits").set(num_bits)
         _metrics.gauge("build.clusters").set(len(self._clusters))
@@ -352,14 +380,87 @@ class SymbolicKripkeStructure:
     def transition(self) -> int:
         """The monolithic transition relation (the disjunction of the clusters)."""
         if self._transition_total is None:
-            total = self._false
-            for cluster in self._clusters:
-                conjunction = self._true
-                for conjunct in cluster.conjuncts:
-                    conjunction = conjunction & conjunct
-                total = total | conjunction
-            self._transition_total = total
+            self._transition_total = self._monolithic_transition()
         return self._transition_total.node
+
+    def _monolithic_transition(self) -> BDDFunction:
+        """The :attr:`transition` memo's value, reused if built or built afresh."""
+        if self._transition_total is not None:
+            return self._transition_total
+        total = self._false
+        for cluster in self._clusters:
+            conjunction = self._true
+            for conjunct in cluster.conjuncts:
+                conjunction = conjunction & conjunct
+            total = total | conjunction
+        return total
+
+    # -- process symmetry ---------------------------------------------------------
+
+    @property
+    def symmetry_reason(self) -> Optional[str]:
+        """Why :meth:`verified_symmetry` rejected the candidate (``None`` until it did)."""
+        return self._symmetry_reason
+
+    def verified_symmetry(self) -> Optional[ProcessSymmetry]:
+        """The candidate symmetry once proven an automorphism of this structure, else ``None``.
+
+        Checked lazily and once, inside one ``bdd.symmetry`` span: ``σ``
+        must be a single cycle through the whole index set; the variable
+        map must permute state bits pairwise (current to current, its next
+        copy alongside); and ``ρ`` must fix the transition relation, the
+        domain and every plain label while sending each indexed label
+        ``p_k`` to ``p_σ(k)``.  Then ``Sat(ψ(σ(k))) = ρ(Sat(ψ(k)))`` for
+        every CTL formula ``ψ`` without constant indices (under fairness,
+        when ρ maps the fairness conditions onto themselves).  On failure
+        :attr:`symmetry_reason` names the check that failed.
+        """
+        if not self._symmetry_checked:
+            n = len(self._index_values or ())
+            with _obs_span("bdd.symmetry", n=n) as sp:
+                self._symmetry_reason = self._symmetry_defect()
+                self._symmetry_checked = True
+                sp.set(verified=self._symmetry_reason is None, reason=self._symmetry_reason)
+        return self._symmetry if self._symmetry_reason is None else None
+
+    def _symmetry_defect(self) -> Optional[str]:
+        """The first failed soundness condition of the candidate, or ``None``."""
+        symmetry = self._symmetry
+        if symmetry is None:
+            return "no_candidate"
+        indices = self._index_values
+        sigma = symmetry.sigma
+        if not indices or set(sigma) != indices or set(sigma.values()) != indices:
+            return "not_one_cycle"
+        start = min(indices)
+        index, orbit = sigma[start], 1
+        while index != start:
+            index, orbit = sigma[index], orbit + 1
+        if orbit != len(indices):
+            return "not_one_cycle"
+        var_map = symmetry.var_map
+        state_vars = set(self._current_vars + self._next_vars)
+        if set(var_map) != set(var_map.values()) or not set(var_map) <= state_vars:
+            return "bad_var_map"
+        for var in self._current_vars:
+            image = var_map.get(var, var)
+            if image % 2 or var_map.get(var + 1, var + 1) != image + 1:
+                return "bad_var_map"
+        # Not memoised here: a check must not leave the structure holding
+        # new references (the leak sanitizer audits exactly that).
+        transition = self._monolithic_transition()
+        if transition.permute(var_map) != transition:
+            return "transition_not_invariant"
+        if self._domain.permute(var_map) != self._domain:
+            return "domain_not_invariant"
+        for label, prop in self._prop_nodes.items():
+            if isinstance(label, IndexedProp):
+                target = self._prop_nodes.get(IndexedProp(label.name, sigma.get(label.index)))
+            else:
+                target = prop
+            if target is None or prop.permute(var_map) != target:
+                return "label_not_mapped"
+        return None
 
     # -- counting ---------------------------------------------------------------
 
@@ -790,6 +891,29 @@ class ProcessFamilyEncoding:
             for index in self._indices
             for name, parts in carriers.items()
         }
+
+    def rotation(self) -> ProcessSymmetry:
+        """The candidate symmetry moving every process one step along ``indices``.
+
+        Each current bit ``2b`` and next bit ``2b + 1`` of process
+        ``indices[p]`` goes to the same bit of ``indices[(p + 1) % n]``;
+        bits outside the process blocks (a shared lock) stay fixed.  Pass it
+        as ``SymbolicKripkeStructure(..., symmetry=...)``, which proves it
+        before any checker relies on it.
+        """
+        n = len(self._indices)
+        width = self._bits_per_process
+        var_map: Dict[int, int] = {}
+        for position in range(n):
+            source = position * width
+            target = (position + 1) % n * width
+            for bit in range(2 * width):
+                var_map[2 * source + bit] = 2 * target + bit
+        sigma = {
+            index: self._indices[(position + 1) % n]
+            for position, index in enumerate(self._indices)
+        }
+        return ProcessSymmetry(var_map, sigma)
 
     def local_move(self, source: str, target: str) -> int:
         """The interleaved rule "one process moves ``source`` → ``target``, the rest are framed"."""

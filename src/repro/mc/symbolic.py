@@ -40,11 +40,19 @@ Every memoised satisfaction set is held through a reference-counted
 manager's garbage collector and dynamic reordering can run at any operation
 boundary without invalidating a checker.
 
-Unlike the explicit checkers, the symbolic checker also *instantiates index
+Unlike the explicit checkers, the symbolic checker also *evaluates index
 quantifiers itself* when the underlying encoding knows its index set: family
 encodings have no explicit :class:`~repro.kripke.indexed.IndexedKripkeStructure`
 to hand to :class:`repro.mc.indexed.ICTLStarModelChecker`, so the Section 5
-properties can be checked directly against the symbolic ring.
+properties can be checked directly against the symbolic ring.  When the
+structure's process symmetry ρ is verified (see
+:meth:`~repro.kripke.symbolic.SymbolicKripkeStructure.verified_symmetry`),
+the fairness conditions are ρ-closed and the body ``ψ`` of ``∧_i ψ(i)`` /
+``∨_i ψ(i)`` has no constant index and no nested quantifier, only
+``ψ(i0)`` is model checked: ``Sat(ψ(σ^k(i0))) = ρ^k(Sat(ψ(i0)))``, so the
+other ``n − 1`` instances are BDD permutations of the first, and the
+combined result is the very edge instantiation would give.  Every other
+quantifier is instantiated over the index set.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 from repro.bdd import BDDFunction
 from repro.errors import FragmentError, ValidationError
 from repro.kripke.structure import KripkeStructure, State
-from repro.kripke.symbolic import SymbolicKripkeStructure, symbolic_structure
+from repro.kripke.symbolic import ProcessSymmetry, SymbolicKripkeStructure, symbolic_structure
 from repro.kripke.validation import assert_total
 from repro.mc.fairness import FairnessConstraint, normalize_fairness
 from repro.obs import metrics as _metrics
@@ -86,7 +94,11 @@ from repro.logic.ast import (
     WeakUntil,
     walk,
 )
-from repro.logic.transform import instantiate_quantifiers
+from repro.logic.transform import (
+    free_index_variables,
+    instantiate_quantifiers,
+    substitute_index,
+)
 
 __all__ = ["SymbolicCTLModelChecker", "satisfaction_set", "check"]
 
@@ -121,6 +133,7 @@ class SymbolicCTLModelChecker:
         self._cache: Dict[Formula, BDDFunction] = {}
         self._fair_condition_fns: Optional[Tuple[BDDFunction, ...]] = None
         self._fair_states_fn: Optional[BDDFunction] = None
+        self._fairness_symmetric: Optional[bool] = None
 
     @property
     def fairness(self) -> Optional[FairnessConstraint]:
@@ -147,7 +160,7 @@ class SymbolicCTLModelChecker:
         with _span("bdd.satisfaction") as sp:
             if _tracing():
                 sp.set(formula=str(formula)[:120])
-            result = self._compute(self._instantiate(formula))
+            result = self._compute(formula)
         self._cache[formula] = result
         return result
 
@@ -201,12 +214,8 @@ class SymbolicCTLModelChecker:
 
     # -- index quantifiers ------------------------------------------------------
 
-    def _instantiate(self, formula: Formula) -> Formula:
-        has_quantifiers = any(
-            isinstance(node, (IndexExists, IndexForall)) for node in walk(formula)
-        )
-        if not has_quantifiers:
-            return formula
+    def _index_quantifier(self, formula: Union[IndexForall, IndexExists]) -> BDDFunction:
+        """``∧_i ψ(i)`` / ``∨_i ψ(i)``: one instance rotated, or every instance."""
         index_values = self._symbolic.index_values
         if index_values is None:
             raise FragmentError(
@@ -214,7 +223,47 @@ class SymbolicCTLModelChecker:
                 "on an indexed encoding; instantiate them with repro.mc.indexed "
                 "first (formula: %s)" % formula
             )
-        return instantiate_quantifiers(formula, index_values)
+        symmetry, reason = self._usable_symmetry(formula)
+        if symmetry is None:
+            _metrics.counter("mc.symmetry.fallback", reason=reason).inc()
+            return self.satisfaction_fn(instantiate_quantifiers(formula, index_values))
+        seed = self.satisfaction_fn(
+            substitute_index(formula.body, formula.variable, min(index_values))
+        )
+        result = image = seed
+        for _ in range(len(index_values) - 1):
+            image = image.permute(symmetry.var_map)
+            result = result & image if isinstance(formula, IndexForall) else result | image
+        _metrics.counter("mc.symmetry.reduced").inc(len(index_values) - 1)
+        return result
+
+    def _usable_symmetry(
+        self, formula: Union[IndexForall, IndexExists]
+    ) -> Tuple[Optional[ProcessSymmetry], Optional[str]]:
+        """The verified symmetry when the rotation argument applies, else a reason."""
+        body = formula.body
+        if free_index_variables(body) - {formula.variable}:
+            return None, "free_index"
+        for node in walk(body):
+            if isinstance(node, (IndexExists, IndexForall)):
+                return None, "nested_quantifier"
+            if isinstance(node, IndexedAtom) and not isinstance(node.index, str):
+                return None, "concrete_index"
+        symmetry = self._symbolic.verified_symmetry()
+        if symmetry is None:
+            return None, self._symbolic.symmetry_reason
+        if not self._fairness_is_symmetric(symmetry):
+            return None, "fairness_not_closed"
+        return symmetry, None
+
+    def _fairness_is_symmetric(self, symmetry: ProcessSymmetry) -> bool:
+        """Whether ρ maps the fairness conditions' edge set onto itself."""
+        if self._fairness_symmetric is None:
+            conditions = self.fairness_condition_fns()
+            self._fairness_symmetric = {
+                condition.permute(symmetry.var_map).node for condition in conditions
+            } == {condition.node for condition in conditions}
+        return self._fairness_symmetric
 
     # -- recursive computation -------------------------------------------------
 
@@ -250,6 +299,8 @@ class SymbolicCTLModelChecker:
             return self._compute_exists(formula.path)
         if isinstance(formula, ForAll):
             return self._compute_forall(formula.path)
+        if isinstance(formula, (IndexForall, IndexExists)):
+            return self._index_quantifier(formula)
         raise FragmentError("formula is not a CTL state formula: %s" % formula)
 
     def _compute_exists(self, path: Formula) -> BDDFunction:

@@ -143,7 +143,9 @@ def symbolic_counter(size: int, buggy: bool = False, domain: str = "reachable"):
     the saturation self-loop (or the seeded wrap).  ``domain="reachable"``
     runs the symbolic reachability fixpoint — **deliberately** ``2^size − 2``
     image steps on this family — while ``domain="free"`` skips it for the
-    SAT engines.
+    SAT engines.  No candidate process symmetry is declared: the carry
+    ripple orders the bits, and the property family has no index
+    quantifier to reduce.
     """
     if size < 1:
         raise StructureError("the counter needs at least one bit-process")

@@ -161,7 +161,9 @@ def symbolic_mutex(size: int, buggy: bool = False, domain: str = "reachable"):
     :func:`~repro.systems.token_ring.symbolic_token_ring`,
     ``domain="reachable"`` (the default) restricts the state set by a
     symbolic reachability fixpoint, while ``domain="free"`` skips it — the
-    mode the bounded model checker unrolls.
+    mode the bounded model checker unrolls.  The rotation of the process
+    blocks (the lock bit fixed) is declared as the candidate process
+    symmetry.
     """
     if size < 1:
         raise StructureError("the mutex protocol needs at least one process")
@@ -223,6 +225,7 @@ def symbolic_mutex(size: int, buggy: bool = False, domain: str = "reachable"):
             ", buggy" if buggy else "",
             ", free domain" if domain == "free" else "",
         ),
+        symmetry=encoding.rotation(),
     )
 
 

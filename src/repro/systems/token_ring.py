@@ -308,7 +308,11 @@ def symbolic_token_ring(size: int, buggy: bool = False, domain: str = "reachable
     restricts its state set to the states reachable from ``s_r^0`` (computed
     symbolically), so it represents exactly the structure
     :func:`build_token_ring` builds explicitly — the test-suite decodes and
-    compares the two at small sizes.
+    compares the two at small sizes.  It declares the rotation
+    ``i ↦ i + 1`` (:meth:`~repro.kripke.symbolic.ProcessFamilyEncoding.rotation`)
+    as its candidate process symmetry; the ``cln`` hand-off only looks at
+    positions relative to the holder, so the symmetric BDD path of
+    :mod:`repro.mc.symbolic` verifies and uses it.
 
     ``buggy=True`` seeds the same token-duplication bug as
     :func:`ring_successors` (a delayed process may enter its critical region
@@ -408,6 +412,7 @@ def symbolic_token_ring(size: int, buggy: bool = False, domain: str = "reachable
             ", buggy" if buggy else "",
             ", free domain" if domain == "free" else "",
         ),
+        symmetry=encoding.rotation(),
     )
 
 

@@ -241,6 +241,17 @@ def test_rename_cache_key_is_content_derived(manager, abc):
     assert rename_stats.hits + rename_stats.misses == misses_before + 1
 
 
+def test_permute_accepts_what_rename_rejects(manager, abc):
+    a, b, c = abc
+    f = (a & ~b) | c
+    swapped = f.permute({0: 1, 1: 0})  # order-reversing: rename raises here
+    assert swapped == (b & ~a) | c
+    permute_stats = {cache.name: cache for cache in manager.stats().caches}["permute"]
+    assert permute_stats.misses > 0
+    with pytest.raises(BDDError, match="not injective"):
+        f.permute({0: 2, 1: 2})
+
+
 # ---------------------------------------------------------------------------
 # Counting, models, support
 # ---------------------------------------------------------------------------
@@ -342,7 +353,7 @@ def test_stats_snapshot_shape(manager, abc):
     assert stats.peak_live_nodes >= stats.live_nodes
     assert stats.num_vars == 3
     payload = stats.as_dict()
-    assert set(payload["caches"]) == {"ite", "exists", "relprod", "rename", "restrict"}
+    assert set(payload["caches"]) == {"ite", "exists", "relprod", "rename", "restrict", "permute"}
     ite = [cache for cache in stats.caches if cache.name == "ite"][0]
     assert 0.0 <= ite.hit_rate <= 1.0
 

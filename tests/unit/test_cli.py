@@ -147,7 +147,7 @@ def test_profile_emits_json_with_phases_and_bdd_stats(capsys):
     assert all(phase["seconds"] >= 0 for phase in payload["phases"])
     bdd = payload["bdd"]
     assert bdd["peak_live_nodes"] >= bdd["live_nodes"] > 0
-    assert set(bdd["caches"]) == {"ite", "exists", "relprod", "rename", "restrict"}
+    assert set(bdd["caches"]) == {"ite", "exists", "relprod", "rename", "restrict", "permute"}
 
 
 def test_profile_on_explicit_engine_has_no_bdd_section(capsys):

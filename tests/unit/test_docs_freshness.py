@@ -134,6 +134,7 @@ def test_observability_doc_names_the_cli_flags_and_span_vocabulary():
         "ic3.frame",
         "ic3.generalize",
         "bdd.fixpoint.eu",
+        "bdd.symmetry",
         "bitset.eu",
         "portfolio.race",
         "obs.collect",
@@ -153,6 +154,8 @@ def test_observability_doc_names_the_cli_flags_and_span_vocabulary():
         "obs.collect.spans",
         "obs.collect.series",
         "obs.collect.dropped",
+        "mc.symmetry.reduced",
+        "mc.symmetry.fallback",
     ):
         assert metric_name in text, "metric %r is undocumented" % metric_name
     # The cross-process vocabulary: the worker label, the histogram

@@ -98,6 +98,15 @@ class TestBDDAudit:
         with pytest.raises(SanitizerError, match="ite cache key"):
             check_manager(manager)
 
+    def test_detects_dead_node_in_permute_cache(self, populated_manager):
+        manager, keep = populated_manager
+        keep[0].permute({0: 2, 2: 0})  # a legitimate entry passes...
+        check_manager(manager)
+        dead = len(manager._varr) + 5
+        manager._permute_cache.data[(0, dead)] = 2  # ...a dead node does not
+        with pytest.raises(SanitizerError, match="permute cache key"):
+            check_manager(manager)
+
     def test_collect_hook_fires_when_enabled(self, populated_manager, sanitizers):
         # collect() recomputes refcounts (self-healing), so corrupt something
         # it preserves: a zero-count external entry survives the sweep.
