@@ -1,7 +1,7 @@
 """Experiment drivers: one function per figure/claim reproduced from the paper.
 
 Each ``run_*`` function regenerates one experiment of the per-experiment index
-in ``DESIGN.md`` and returns a plain dictionary so that the benchmarks, the
+in ``DESIGN.md`` and returns a plain dictionary so that the tests, the
 examples, and ``EXPERIMENTS.md`` all report exactly the same numbers.
 
 Experiments

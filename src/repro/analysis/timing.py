@@ -1,4 +1,4 @@
-"""Small timing helpers shared by the experiment drivers and benchmarks.
+"""Small timing helpers shared by the CLI, the experiment drivers and the sweeps.
 
 Timing is routed through the observability layer's span API
 (:func:`repro.obs.trace.span`), so every ``timed_call`` shows up as a

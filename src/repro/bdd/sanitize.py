@@ -16,7 +16,7 @@ into this module when sanitizing is switched on.  Enable it with the
 :func:`enable` call, or the ``sanitizers`` pytest fixture.
 
 ``MODE`` values: ``0`` off (default), ``1`` full audits at hook sites,
-``2`` count-only (the benchmark guard uses this to count how often the
+``2`` count-only (the overhead guard uses this to count how often the
 hooks would fire without paying for the audit).
 """
 

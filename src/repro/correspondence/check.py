@@ -26,19 +26,14 @@ pair of initial states and is total for both state sets.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.kripke.structure import KripkeStructure, State
-from repro.correspondence.relation import CorrespondenceRelation
+from repro.correspondence.relation import CorrespondenceRelation, LabelKey, default_label_key
 
 __all__ = ["find_correspondence", "structures_correspond", "minimal_degrees"]
 
 Pair = Tuple[State, State]
-LabelKey = Callable[[KripkeStructure, State], object]
-
-
-def _default_label_key(structure: KripkeStructure, state: State) -> object:
-    return structure.label(state)
 
 
 def _label_compatible_pairs(
@@ -172,7 +167,7 @@ def find_correspondence(
         Optional override for reading a state's label (used by the indexed
         correspondence to compare reduced labels).
     """
-    key = label_key or _default_label_key
+    key = label_key or default_label_key
     candidates = _label_compatible_pairs(left, right, key)
 
     while True:

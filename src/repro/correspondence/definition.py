@@ -30,11 +30,11 @@ decision algorithm in :mod:`repro.correspondence.check` relies on the bound
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.errors import CorrespondenceError
 from repro.kripke.structure import KripkeStructure, State
-from repro.correspondence.relation import CorrespondenceRelation
+from repro.correspondence.relation import CorrespondenceRelation, LabelKey, default_label_key
 
 __all__ = [
     "correspondence_violations",
@@ -42,13 +42,6 @@ __all__ = [
     "assert_correspondence",
     "pair_clause_violations",
 ]
-
-#: Optional override for how a state's label is read when comparing labels.
-LabelKey = Callable[[KripkeStructure, State], object]
-
-
-def _default_label_key(structure: KripkeStructure, state: State) -> object:
-    return structure.label(state)
 
 
 def pair_clause_violations(
@@ -64,7 +57,7 @@ def pair_clause_violations(
     An empty list means the pair satisfies clauses 2a, 2b and 2c with the
     degree recorded in ``relation``.
     """
-    read_label = label_key or _default_label_key
+    read_label = label_key or default_label_key
     degree = relation.degree(left_state, right_state)
     violations: List[str] = []
 

@@ -16,14 +16,22 @@ their (single) degree.  The definition checker
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import CorrespondenceError
-from repro.kripke.structure import State
+from repro.kripke.structure import KripkeStructure, State
 
 __all__ = ["CorrespondenceRelation"]
 
 Pair = Tuple[State, State]
+
+#: Optional override for how a state's label is read when comparing labels.
+LabelKey = Callable[[KripkeStructure, State], object]
+
+
+def default_label_key(structure: KripkeStructure, state: State) -> object:
+    """Read a state's label as the structure stores it."""
+    return structure.label(state)
 
 
 class CorrespondenceRelation:

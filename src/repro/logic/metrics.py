@@ -2,7 +2,7 @@
 
 The metrics are used by the Section 6 experiment (the conjecture that a
 formula with at most ``k`` levels of index quantifiers cannot distinguish free
-products with more than ``k`` components) and by the benchmark reports.
+products with more than ``k`` components) and by the experiment reports.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The ``repro.obs`` package is the one instrumentation substrate shared by
 all six engines (``bitset``, ``naive``, ``bdd``, ``bmc``, ``ic3``,
 ``portfolio``), the kripke/bdd/sat cores, the worker runtime
-(``repro.runtime``), the CLI, and the benchmark suite:
+(``repro.runtime``), the CLI, and the repo benchmark (``perfbench/``):
 
 ``repro.obs.trace``
     Nested span tracing on the monotonic nanosecond clock
@@ -39,7 +39,7 @@ all six engines (``bitset``, ``naive``, ``bdd``, ``bmc``, ``ic3``,
 ``repro.obs.analyze``
     Offline trace analysis (the ``repro-obs`` console script): aggregate
     tables, critical path, portfolio loser autopsy, and run-vs-run diffs
-    over trace JSONL / Perfetto documents and ``BENCH_*.json`` files.
+    over trace JSONL / Perfetto documents.
 
 Naming conventions, sink formats, and a guided tour of an IC3 trace
 live in ``docs/OBSERVABILITY.md``.  The package is dependency-free

@@ -2,9 +2,8 @@
 
 Loads the artifacts the tracing layer writes — span JSONL streams
 (:class:`~repro.obs.sinks.JsonlSink`), Chrome/Perfetto trace documents
-(:class:`~repro.obs.sinks.PerfettoSink`), and the benchmark suite's
-``BENCH_*.json`` summaries — and answers the questions a profiling
-session actually asks:
+(:class:`~repro.obs.sinks.PerfettoSink`) — and answers the questions a
+profiling session actually asks:
 
 ``repro-obs report TRACE``
     Where did the time go?  Per-span-name aggregates (count, total,
@@ -15,9 +14,8 @@ session actually asks:
     cancellation landed.
 
 ``repro-obs diff A B``
-    What changed between two runs?  For two traces: per-span-name time
-    attribution of the regression (or improvement).  For two
-    ``BENCH_*.json`` files: per-benchmark mean deltas.
+    What changed between two runs?  Per-span-name time attribution of
+    the regression (or improvement).
 
 Everything here is read-only over JSON files; like the rest of
 :mod:`repro.obs` it imports nothing from the wider ``repro`` package, so
@@ -41,7 +39,6 @@ __all__ = [
     "critical_path",
     "portfolio_autopsy",
     "diff_traces",
-    "diff_bench",
     "main",
 ]
 
@@ -250,14 +247,12 @@ def load_trace(path: str) -> TraceDocument:
 
 
 def load_artifact(path: str) -> Tuple[str, Any]:
-    """Load ``path`` as ``("bench", dict)`` or ``("trace", TraceDocument)``."""
+    """Load ``path`` as ``("trace", TraceDocument)``; reject other JSON."""
     with open(path) as handle:
         text = handle.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         document = json.loads(text)
-        if "benchmarks" in document:
-            return ("bench", document)
         if "traceEvents" in document:
             return ("trace", _load_perfetto(document))
         raise ValueError("%s: unrecognised JSON artifact" % path)
@@ -397,29 +392,6 @@ def diff_traces(a: TraceDocument, b: TraceDocument) -> List[Dict[str, Any]]:
     return out
 
 
-def diff_bench(a: Dict[str, Any], b: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Per-benchmark mean deltas between two ``BENCH_*.json`` files."""
-    def by_name(document):
-        return {
-            record.get("fullname") or record.get("name", "?"): record
-            for record in document.get("benchmarks", [])
-            if isinstance(record, dict)
-        }
-
-    in_a, in_b = by_name(a), by_name(b)
-    out = []
-    for name in sorted(set(in_a) | set(in_b)):
-        mean_a = in_a.get(name, {}).get("mean")
-        mean_b = in_b.get(name, {}).get("mean")
-        row = {"name": name, "mean_a": mean_a, "mean_b": mean_b}
-        if mean_a is not None and mean_b is not None:
-            row["delta"] = mean_b - mean_a
-            row["ratio"] = (mean_b / mean_a) if mean_a else None
-        out.append(row)
-    out.sort(key=lambda row: -abs(row.get("delta") or 0))
-    return out
-
-
 # -- rendering --------------------------------------------------------------
 
 def _ms(ns: Optional[float]) -> str:
@@ -517,15 +489,14 @@ def _report_payload(doc: TraceDocument, top: int) -> Dict[str, Any]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-obs",
-        description="Analyse repro trace files (JSONL or Perfetto) and "
-        "BENCH_*.json benchmark summaries.",
+        description="Analyse repro trace files (JSONL or Perfetto).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser("report", help="aggregates, critical path, autopsy")
     report.add_argument("trace", help="trace file (--trace output, JSONL or Perfetto)")
     report.add_argument("--top", type=int, default=15, help="aggregate rows shown")
     report.add_argument("--json", action="store_true", help="machine-readable output")
-    diff = sub.add_parser("diff", help="compare two traces or two BENCH files")
+    diff = sub.add_parser("diff", help="compare two traces")
     diff.add_argument("a", help="baseline artifact")
     diff.add_argument("b", help="candidate artifact")
     diff.add_argument("--top", type=int, default=15, help="rows shown")
@@ -551,51 +522,29 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    kind_a, a = load_artifact(args.a)
-    kind_b, b = load_artifact(args.b)
-    if kind_a != kind_b:
-        raise ValueError(
-            "cannot diff %s against %s (%s vs %s)" % (args.a, args.b, kind_a, kind_b)
-        )
-    if kind_a == "bench":
-        rows = diff_bench(a, b)
-        payload: Dict[str, Any] = {"kind": "bench", "rows": rows[: args.top]}
-        if not args.json:
-            print("%-64s %12s %12s %12s" % ("benchmark", "mean_a_s", "mean_b_s", "delta_s"))
-            for row in rows[: args.top]:
-                print(
-                    "%-64s %12s %12s %12s"
-                    % (
-                        row["name"][:64],
-                        "-" if row["mean_a"] is None else "%.6f" % row["mean_a"],
-                        "-" if row["mean_b"] is None else "%.6f" % row["mean_b"],
-                        "-" if row.get("delta") is None else "%+.6f" % row["delta"],
-                    )
-                )
-            return 0
-    else:
-        rows = diff_traces(a, b)
-        payload = {"kind": "trace", "rows": rows[: args.top]}
-        if not args.json:
-            print(
-                "%-36s %7s %7s %12s %12s %12s"
-                % ("span", "n_a", "n_b", "total_a_ms", "total_b_ms", "delta_ms")
+    _, a = load_artifact(args.a)
+    _, b = load_artifact(args.b)
+    rows = diff_traces(a, b)[: args.top]
+    if args.json:
+        json.dump({"kind": "trace", "rows": rows}, sys.stdout, indent=2, sort_keys=True)
+        print()
+        return 0
+    print(
+        "%-36s %7s %7s %12s %12s %12s"
+        % ("span", "n_a", "n_b", "total_a_ms", "total_b_ms", "delta_ms")
+    )
+    for row in rows:
+        print(
+            "%-36s %7d %7d %12s %12s %+12.3f"
+            % (
+                row["name"],
+                row["count_a"],
+                row["count_b"],
+                _ms(row["total_ns_a"]),
+                _ms(row["total_ns_b"]),
+                row["delta_ns"] / 1e6,
             )
-            for row in rows[: args.top]:
-                print(
-                    "%-36s %7d %7d %12s %12s %+12.3f"
-                    % (
-                        row["name"],
-                        row["count_a"],
-                        row["count_b"],
-                        _ms(row["total_ns_a"]),
-                        _ms(row["total_ns_b"]),
-                        row["delta_ns"] / 1e6,
-                    )
-                )
-            return 0
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    print()
+        )
     return 0
 
 

@@ -1,10 +1,9 @@
 """Process-global metrics: counters, gauges, log-bucketed histograms.
 
-Every engine publishes into the one :data:`REGISTRY`; ``--profile``,
-``--metrics``, and the benchmark suite's ``extra_info`` all read from
-it, replacing the five bespoke per-engine stat objects as the *export*
-path (the engines keep their cheap internal counters and snapshot them
-here at phase boundaries).
+Every engine publishes into the one :data:`REGISTRY`; ``--profile`` and
+``--metrics`` both read from it, replacing the five bespoke per-engine
+stat objects as the *export* path (the engines keep their cheap internal
+counters and snapshot them here at phase boundaries).
 
 Three instrument kinds, each keyed by name plus a frozen label set
 (``engine=...``, ``system=...``, ``size=...``):
@@ -220,8 +219,7 @@ class MetricsRegistry:
 
     Instruments are created on first touch and live until
     :meth:`reset`.  ``snapshot()`` returns a flat
-    ``{"name{label=value}": snapshot}`` dict ready for JSON export or
-    ``benchmark.extra_info``.
+    ``{"name{label=value}": snapshot}`` dict ready for JSON export.
     """
 
     def __init__(self) -> None:
@@ -245,7 +243,7 @@ class MetricsRegistry:
         return self._get(Histogram, name, labels)
 
     def reset(self) -> None:
-        """Drop every series (tests and per-benchmark isolation)."""
+        """Drop every series (per-test isolation)."""
         self._series.clear()
 
     def __len__(self) -> int:

@@ -12,7 +12,7 @@ test, and returns a shared singleton whose ``__enter__``/``__exit__``
 do nothing.  That is the entire cost instrumented hot paths pay, which
 is what lets the fixpoint engines and the CDCL solver carry spans
 without a measurable slowdown (guarded by
-``benchmarks/test_bench_obs.py``).
+``tests/integration/test_timing_floors.py``).
 
 Enable tracing with :func:`enable` (optionally passing sinks from
 :mod:`repro.obs.sinks`) or the :func:`recording` context manager::

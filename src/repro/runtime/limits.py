@@ -16,7 +16,7 @@ at *checkpoints* threaded through the engine hot loops:
 :func:`checkpoint` is the single entry point and follows the obs
 discipline for hot-path hooks: while nothing is armed it is one
 module-global load and an ``is None`` test (measured alongside the obs
-overhead guard in ``benchmarks/test_bench_portfolio.py``).  When a budget
+overhead guard in ``tests/integration/test_timing_floors.py``).  When a budget
 is active a checkpoint
 
 1. raises :class:`~repro.errors.CancelledError` if the cancellation token

@@ -9,7 +9,7 @@ validity, VSIDS heap shape, and learnt-database/LBD accounting.
 Mirrors :mod:`repro.bdd.sanitize`: disabled by default, hook sites test
 one module global (:data:`MODE`), enable with ``REPRO_SANITIZE=1`` /
 :func:`enable` / the ``sanitizers`` pytest fixture.  ``MODE == 2`` is
-the count-only mode the overhead benchmark uses.
+the count-only mode the overhead guard uses.
 """
 
 from __future__ import annotations

@@ -196,7 +196,7 @@ def ring_successors(state: RingState, size: int, buggy: bool = False) -> List[Ri
     ``t_i`` from ``T ∪ C`` membership) and breaks the ``AG Θ_i t_i``
     invariant two transitions from the initial state.  The buggy family is
     the falsification target of the bounded model checker (experiment E12
-    and ``benchmarks/test_bench_bmc.py``).
+    and ``tests/integration/test_engines_at_scale.py``).
     """
     successors: List[RingState] = []
 
@@ -536,7 +536,7 @@ def section5_correspondence(
 #: restricted ICTL* formula that every larger ring violates, so no
 #: correspondence between ``M_2`` and ``M_r`` (r ≥ 3) can exist.  Rings of
 #: size ≥ 3 do correspond pairwise (verified by the decision algorithm in the
-#: test-suite and benchmarks), so three processes are the correct base case.
+#: test-suite), so three processes are the correct base case.
 RECOMMENDED_BASE_SIZE = 3
 
 

@@ -92,6 +92,18 @@ def ring4():
 
 
 @pytest.fixture(scope="session")
+def ring5():
+    """The five-process token ring M_5."""
+    return token_ring.build_token_ring(5)
+
+
+@pytest.fixture(scope="session")
+def ring6():
+    """The six-process token ring M_6 (the largest explosion-sweep seed size)."""
+    return token_ring.build_token_ring(6)
+
+
+@pytest.fixture(scope="session")
 def round_robin2():
     """The two-process round-robin scheduler."""
     return round_robin.build_round_robin(2)

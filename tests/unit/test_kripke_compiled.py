@@ -39,6 +39,10 @@ def test_compile_assigns_dense_indices_and_preserves_relations(branching_structu
         assert compiled.predecessor_mask(index) == compiled.mask_of(predecessors)
 
 
+def test_compile_keeps_every_state_of_ring4(ring4):
+    assert CompiledKripkeStructure(ring4).num_states == ring4.num_states
+
+
 def test_compile_is_deterministic(branching_structure):
     first = CompiledKripkeStructure(branching_structure)
     second = CompiledKripkeStructure(branching_structure)

@@ -3,7 +3,7 @@
 Builds small synthetic artifacts in both on-disk layouts the tracing
 layer writes (Perfetto trace-event documents and span JSONL) and pins
 the analyses the CLI renders: per-name aggregates, the critical path,
-the portfolio loser autopsy, and trace/bench diffing — plus the
+the portfolio loser autopsy, and trace diffing — plus the
 ``main()`` exit-code contract (0 on success, 2 on unusable input).
 """
 
@@ -17,7 +17,6 @@ from repro.obs.analyze import (
     TraceDocument,
     aggregate,
     critical_path,
-    diff_bench,
     diff_traces,
     load_artifact,
     load_trace,
@@ -174,7 +173,8 @@ def test_load_perfetto_infers_containment_for_foreign_traces(tmp_path):
 def test_load_artifact_sniffs_bench_vs_trace(tmp_path, race_trace):
     bench = tmp_path / "BENCH_a.json"
     bench.write_text(json.dumps({"benchmarks": []}))
-    assert load_artifact(str(bench))[0] == "bench"
+    with pytest.raises(ValueError, match="unrecognised JSON artifact"):
+        load_artifact(str(bench))
     kind, doc = load_artifact(race_trace)
     assert kind == "trace"
     assert isinstance(doc, TraceDocument)
@@ -246,18 +246,6 @@ def test_diff_traces_attributes_the_shift_per_span_name(tmp_path, race_trace):
     assert unchanged["delta_ns"] == 0
 
 
-def test_diff_bench_pairs_by_fullname_and_reports_ratio():
-    a = {"benchmarks": [{"fullname": "bench_a", "mean": 1.0}, {"fullname": "gone", "mean": 2.0}]}
-    b = {"benchmarks": [{"fullname": "bench_a", "mean": 1.5}, {"fullname": "new", "mean": 0.5}]}
-    rows = diff_bench(a, b)
-    assert rows[0]["name"] == "bench_a"
-    assert rows[0]["delta"] == pytest.approx(0.5)
-    assert rows[0]["ratio"] == pytest.approx(1.5)
-    partial = {row["name"]: row for row in rows}
-    assert partial["gone"]["mean_b"] is None and "delta" not in partial["gone"]
-    assert partial["new"]["mean_a"] is None
-
-
 # -- the CLI ----------------------------------------------------------------
 
 
@@ -292,24 +280,10 @@ def test_main_diff_traces_and_json(race_trace, capsys):
     assert all(row["delta_ns"] == 0 for row in payload["rows"])
 
 
-def test_main_diff_bench_files(tmp_path, capsys):
-    a = tmp_path / "BENCH_a.json"
-    b = tmp_path / "BENCH_b.json"
-    a.write_text(json.dumps({"benchmarks": [{"fullname": "x", "mean": 1.0}]}))
-    b.write_text(json.dumps({"benchmarks": [{"fullname": "x", "mean": 2.0}]}))
-    assert main(["diff", str(a), str(b)]) == 0
-    out = capsys.readouterr().out
-    assert "+1.000000" in out
-    assert main(["diff", str(a), str(b), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["kind"] == "bench"
-    assert payload["rows"][0]["ratio"] == pytest.approx(2.0)
-
-
 def test_main_exit_2_on_unusable_input(tmp_path, race_trace, capsys):
     assert main(["report", str(tmp_path / "missing.json")]) == 2
     assert "repro-obs:" in capsys.readouterr().err
     bench = tmp_path / "BENCH_a.json"
     bench.write_text(json.dumps({"benchmarks": []}))
-    assert main(["diff", race_trace, str(bench)]) == 2  # trace vs bench
-    assert "cannot diff" in capsys.readouterr().err
+    assert main(["diff", race_trace, str(bench)]) == 2  # a BENCH file is not a trace
+    assert "unrecognised JSON artifact" in capsys.readouterr().err

@@ -296,6 +296,31 @@ def test_collector_reparents_worker_spans_under_the_captured_parent():
     assert any(r.name == "obs.collect" for r in tracer.records)
 
 
+def test_collector_ingests_a_full_batch_finished_leaf_first():
+    """One worker batch of 64 spans, a nested chain in completion order.
+
+    The worst case for the re-parenting pass, which must sort by start
+    time before any child can reference its parent's remapped id.
+    """
+    spans = []
+    for i in range(TELEMETRY_BATCH_SPANS):
+        record = _span_dict(
+            i + 1, i or None, "sat.solve", 10 * (i + 1),
+            10 * (2 * TELEMETRY_BATCH_SPANS + 1) - 10 * i, k=i,
+        )
+        record["depth"] = i
+        spans.append(record)
+    blob, digest = _blob({"pid": 4242, "spans": spans[::-1]})
+    collector = TelemetryCollector(registry=MetricsRegistry())
+    trace_module.enable([], keep_records=False)  # fan out to no sinks, keep nothing
+    with span("portfolio.race") as race:
+        context = TraceContext.capture()
+        assert context.enabled and context.parent_span_id == race.span_id
+        assert collector.ingest("bmc", context, blob, digest)
+    assert collector.dropped == 0
+    assert collector.spans_ingested >= TELEMETRY_BATCH_SPANS
+
+
 def test_collector_id_map_spans_batches_from_the_same_worker():
     collector = TelemetryCollector(registry=MetricsRegistry())
     with recording() as tracer:

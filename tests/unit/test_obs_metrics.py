@@ -1,9 +1,9 @@
 """Unit tests for the metrics registry: counters, gauges, histograms.
 
-Pins the export format the CLI (``--profile``/``--metrics``) and the
-benchmark suite read: flat ``name{label=value}`` snapshot keys, JSONL
-records, and the power-of-two histogram bucketing rule (bucket ``i``
-counts observations with ``2**(i-1) < v <= 2**i``).
+Pins the export format the CLI (``--profile``/``--metrics``) reads:
+flat ``name{label=value}`` snapshot keys, JSONL records, and the
+power-of-two histogram bucketing rule (bucket ``i`` counts observations
+with ``2**(i-1) < v <= 2**i``).
 """
 
 from __future__ import annotations

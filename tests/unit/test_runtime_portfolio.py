@@ -188,17 +188,13 @@ class TestMergeSemantics:
         assert "depth_reached=5" in str(excinfo.value)
 
 
-def _mutex_sources(size, buggy=False):
+def _natural_sources(module, explicit, symbolic, size, **kwargs):
     """The CLI's per-engine natural encodings, for a worker-side build."""
     return {
-        "bitset": builder_source("repro.systems.mutex", "build_mutex", size, buggy=buggy),
-        "bdd": builder_source("repro.systems.mutex", "symbolic_mutex", size, buggy=buggy),
-        "bmc": builder_source(
-            "repro.systems.mutex", "symbolic_mutex", size, buggy=buggy, domain="free"
-        ),
-        "ic3": builder_source(
-            "repro.systems.mutex", "symbolic_mutex", size, buggy=buggy, domain="free"
-        ),
+        "bitset": builder_source(module, explicit, size, **kwargs),
+        "bdd": builder_source(module, symbolic, size, **kwargs),
+        "bmc": builder_source(module, symbolic, size, domain="free", **kwargs),
+        "ic3": builder_source(module, symbolic, size, domain="free", **kwargs),
     }
 
 
@@ -224,12 +220,26 @@ class TestRaces:
 
     def test_natural_encoding_race_refutes_the_buggy_mutex(self):
         with PortfolioModelChecker(
-            sources=_mutex_sources(3, buggy=True), bound=8, chaos=_NO_CHAOS
+            sources=_natural_sources(
+                "repro.systems.mutex", "build_mutex", "symbolic_mutex", 3, buggy=True
+            ),
+            bound=8,
+            chaos=_NO_CHAOS,
         ) as checker:
             assert checker.engines == DEFAULT_RACE_ENGINES
             with _hard_timeout(120):
                 verdict = checker.check(mutex_safety(3))
         assert verdict is False
+        _assert_no_leak()
+
+    def test_natural_encoding_race_proves_ring_mutual_exclusion(self):
+        sources = _natural_sources(
+            "repro.systems.token_ring", "build_token_ring", "symbolic_token_ring", 4
+        )
+        with PortfolioModelChecker(sources=sources, bound=8, chaos=_NO_CHAOS) as checker:
+            with _hard_timeout(120):
+                verdict = checker.check(ring_mutual_exclusion(4))
+        assert verdict is True
         _assert_no_leak()
 
     def test_check_batch_races_each_formula(self):
