@@ -4,14 +4,14 @@ The package provides a production-grade pure-Python ROBDD implementation:
 
 * :class:`BDDManager` — the node table: complement-edge canonical nodes
   (negation is an O(1) edge flip), a unified iterative ITE-based apply with a
-  single normalized operation cache, bounded/instrumented memo caches,
-  mark-and-sweep garbage collection, and dynamic variable reordering by
-  Rudell sifting with variable groups and order persistence;
+  single normalized operation cache, bounded/instrumented memo caches, and
+  mark-and-sweep garbage collection, over a fixed variable order (a
+  variable's id is its level);
 * :class:`BDDFunction` — an operator-overloaded, reference-counted handle
   (``f & g``, ``~f``, ``f >> g``, ``f.relprod(g, vars)``, …) whose lifetime
   tells the garbage collector what is live;
 * :class:`ManagerStats` / :class:`CacheStats` — health counters (live/peak
-  nodes, cache hit/miss/evict, GC and reorder activity).
+  nodes, cache hit/miss/evict, GC activity).
 
 :mod:`repro.kripke.symbolic` builds Kripke-structure encodings on top of this
 package and :mod:`repro.mc.symbolic` runs CTL fixpoints over them.
@@ -20,7 +20,6 @@ package and :mod:`repro.mc.symbolic` runs CTL fixpoints over them.
 from repro.bdd.function import BDDFunction
 from repro.bdd.manager import (
     FALSE,
-    TERMINAL_LEVEL,
     TRUE,
     BDDManager,
     CacheStats,
@@ -34,5 +33,4 @@ __all__ = [
     "CacheStats",
     "FALSE",
     "TRUE",
-    "TERMINAL_LEVEL",
 ]

@@ -9,9 +9,11 @@ manager is a single integer comparison.
 A handle is also the unit of *memory management*: constructing one registers
 an external reference with the manager and dropping it (garbage collection of
 the Python object) releases it, so :meth:`BDDManager.collect`'s mark-and-sweep
-and the sifting reorderer treat everything reachable from live handles as
-roots.  Layers that must survive a GC or a reorder hold handles; raw edge
-ints are only safe between manager calls.
+treats everything reachable from live handles as roots.  Layers that must
+survive a GC hold handles; raw edge ints are only safe between manager calls.
+
+Every ``level``/``levels`` parameter below is a variable id: the manager's
+order is fixed, and a variable's id is its level.
 
 Truthiness is deliberately undefined (``bool(f)`` raises): ``f and g`` would
 silently compute the *Python* conjunction, not the boolean-function one.  Use

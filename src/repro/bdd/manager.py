@@ -14,18 +14,16 @@ allocates nothing.  Canonical form:
   so structurally equal functions are represented by exactly one edge and
   equality of two functions is a single ``==`` on ints.
 
-Variables vs. levels
---------------------
-A function is built over *variables* — stable integer ids that never change —
-while the *order* in which they are tested (their *levels*) is owned by the
-manager and may change at run time (:meth:`reorder`, Rudell sifting).  The
-two coincide until the first reorder.  All public operations take variable
-ids; encodings built by :mod:`repro.kripke.symbolic` therefore survive
-reorders unchanged.  Variables can be tied into *groups*
-(:meth:`set_variable_groups`) that sifting moves as contiguous blocks — the
-symbolic Kripke layer groups each current/next pair so its renames stay
-order-preserving under any reorder.  :meth:`var_order` /
-:meth:`set_var_order` persist and restore an order explicitly.
+Variables and order
+-------------------
+A function is built over *variables* — integer ids that are also their
+levels: variable ``v`` is tested above every variable ``w > v``, and the
+terminal sorts below them all.  The order is fixed when a variable is
+allocated and never changes, so a live node's ``(var, low, high)`` is
+immutable: an edge names the same function, and the same node, for as long
+as the node lives.  Encodings choose their order by choosing ids —
+:mod:`repro.kripke.symbolic` interleaves each state bit's current and next
+copy at ``2k`` and ``2k + 1``.
 
 Operations
 ----------
@@ -36,8 +34,7 @@ recursion limit.  ``exists``/``relprod``/``rename``/``permute``/``restrict``
 run their own explicit-stack walks on top of the same machinery.  All
 operation caches are bounded (stale halves are evicted wholesale),
 instrumented with hit/miss/evict counters, clearable via
-:meth:`clear_caches`, and cleared automatically by :meth:`collect` and
-:meth:`reorder`.
+:meth:`clear_caches`, and cleared automatically by :meth:`collect`.
 
 Memory management
 -----------------
@@ -45,40 +42,37 @@ External references are counted per node (:meth:`incref`/:meth:`decref`,
 managed automatically by :class:`repro.bdd.BDDFunction` handles).
 :meth:`collect` runs a mark-and-sweep over the unique table: it marks the
 closure of the externally referenced nodes and frees everything else,
-returning freed slots to a free list.  Reordering likewise reclaims dead
-nodes as it sweeps levels.  **Contract:** any edge held as a raw int across
-manager calls is invisible to GC and sifting's dead-node reclamation — wrap
-it in a ``BDDFunction`` (or ``incref`` it) before calling :meth:`collect`,
-:meth:`reorder`, or enabling ``auto_reorder_threshold``.
+returning freed slots to a free list.  **Contract:** any edge held as a raw
+int across manager calls is invisible to GC — wrap it in a ``BDDFunction``
+(or ``incref`` it) before calling :meth:`collect`.
 
-:meth:`stats` exposes live/peak node counts, GC and reorder counters, and
-per-cache hit/miss/evict statistics as a :class:`ManagerStats`.
+:meth:`stats` exposes live/peak node counts, GC counters, and per-cache
+hit/miss/evict statistics as a :class:`ManagerStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice as _islice
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import repro.bdd.sanitize as _sanitize
 from repro.errors import BDDError
 from repro.obs import metrics as _metrics
 from repro.obs.trace import event as _obs_event
-from repro.obs.trace import span as _obs_span
 from repro.runtime.limits import checkpoint as _checkpoint
 
 __all__ = [
     "BDDManager",
     "ManagerStats",
     "CacheStats",
-    "TERMINAL_LEVEL",
     "FALSE",
     "TRUE",
 ]
 
-#: Sentinel level of the terminal node; larger than any variable level.
-TERMINAL_LEVEL = 1 << 30
+#: The terminal node's variable: larger than any variable id, so the hot
+#: loops compare node variables directly and the terminal sorts last.
+_TERMINAL_VAR = 1 << 30
 
 #: The edge of the constant false function.
 FALSE = 0
@@ -118,8 +112,6 @@ class ManagerStats:
     external_references: int
     gc_runs: int
     gc_reclaimed: int
-    reorder_runs: int
-    sift_swaps: int
     caches: Tuple[CacheStats, ...]
 
     def as_dict(self) -> Dict[str, object]:
@@ -131,8 +123,6 @@ class ManagerStats:
             "external_references": self.external_references,
             "gc_runs": self.gc_runs,
             "gc_reclaimed": self.gc_reclaimed,
-            "reorder_runs": self.reorder_runs,
-            "sift_swaps": self.sift_swaps,
             "caches": {
                 cache.name: {
                     "size": cache.size,
@@ -190,38 +180,25 @@ class _OpCache:
 
 
 class BDDManager:
-    """Owns the shared node table, the operation caches, and the variable order.
+    """Owns the shared node table and the operation caches.
 
     Parameters
     ----------
     cache_limit:
         Entry bound of each operation cache (see :class:`_OpCache`).
-    auto_reorder_threshold:
-        When set, crossing this live-node count triggers an automatic
-        :meth:`reorder` at the next operation boundary (the threshold then
-        doubles).  Only enable it when every client-held edge is externally
-        referenced — see the module docstring's contract.
     """
 
-    def __init__(
-        self,
-        cache_limit: int = _DEFAULT_CACHE_LIMIT,
-        auto_reorder_threshold: Optional[int] = None,
-    ) -> None:
+    def __init__(self, cache_limit: int = _DEFAULT_CACHE_LIMIT) -> None:
         # Node table: parallel lists indexed by node.  Node 0 is the terminal.
-        self._varr: List[int] = [-1]
+        # Freed slots are marked with variable -2.
+        self._varr: List[int] = [_TERMINAL_VAR]
         self._lo: List[int] = [0]
         self._hi: List[int] = [0]
-        self._ref: List[int] = [0]  # internal parent count
-        self._lvl: List[int] = [TERMINAL_LEVEL]
         self._free: List[int] = []
         self._live = 1
         self._peak = 1
-        # Variable order.
-        self._var2level: List[int] = []
-        self._level2var: List[int] = []
+        # Unique table: one subtable per variable, keyed by (lo, hi).
         self._subtables: List[Dict[Tuple[int, int], int]] = []
-        self._blocks: List[List[int]] = []  # sifting blocks, sorted by level
         # External (handle) references: node -> count.
         self._external: Dict[int, int] = {}
         # Bounded operation caches.
@@ -248,9 +225,6 @@ class BDDManager:
         # Health counters.
         self._gc_runs = 0
         self._gc_reclaimed = 0
-        self._reorder_runs = 0
-        self._sift_swaps = 0
-        self.auto_reorder_threshold = auto_reorder_threshold
 
     # -- node table ----------------------------------------------------------
 
@@ -261,15 +235,11 @@ class BDDManager:
     @property
     def num_vars(self) -> int:
         """The number of variables the manager knows about."""
-        return len(self._var2level)
+        return len(self._subtables)
 
     def var_of(self, edge: int) -> int:
         """The variable tested at ``edge``'s node (``-1`` for the terminal)."""
-        return self._varr[edge >> 1]
-
-    def level_of(self, edge: int) -> int:
-        """The current level of ``edge``'s node (``TERMINAL_LEVEL`` for terminals)."""
-        return self._lvl[edge >> 1]
+        return self._varr[edge >> 1] if edge >= 2 else -1
 
     def low_of(self, edge: int) -> int:
         """The low (else) cofactor edge, with ``edge``'s complement applied."""
@@ -280,14 +250,10 @@ class BDDManager:
         return self._hi[edge >> 1] ^ (edge & 1)
 
     def _ensure_var(self, var: int) -> None:
-        if var < 0 or var >= TERMINAL_LEVEL:
+        if var < 0 or var >= _TERMINAL_VAR:
             raise BDDError("variable id %r out of range" % (var,))
-        while len(self._var2level) <= var:
-            fresh = len(self._var2level)
-            self._var2level.append(fresh)
-            self._level2var.append(fresh)
+        while len(self._subtables) <= var:
             self._subtables.append({})
-            self._blocks.append([fresh])
 
     def _mk(self, var: int, lo: int, hi: int) -> int:
         """Hash-consed node constructor enforcing the canonical form.
@@ -312,18 +278,12 @@ class BDDManager:
                 self._varr[node] = var
                 self._lo[node] = lo
                 self._hi[node] = hi
-                self._ref[node] = 0
-                self._lvl[node] = self._var2level[var]
             else:
                 node = len(self._varr)
                 self._varr.append(var)
                 self._lo.append(lo)
                 self._hi.append(hi)
-                self._ref.append(0)
-                self._lvl.append(self._var2level[var])
             table[key] = node
-            self._ref[lo >> 1] += 1
-            self._ref[hi >> 1] += 1
             self._live += 1
             if self._live > self._peak:
                 self._peak = self._live
@@ -346,10 +306,8 @@ class BDDManager:
         """The conjunction of literals ``{var: polarity}`` (a minterm over its keys)."""
         for var in literals:
             self._ensure_var(var)
-        self._maybe_reorder()
-        v2l = self._var2level
         result = 1
-        for var in sorted(literals, key=v2l.__getitem__, reverse=True):
+        for var in sorted(literals, reverse=True):
             if literals[var]:
                 result = self._mk(var, 0, result)
             else:
@@ -381,7 +339,6 @@ class BDDManager:
 
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else ``(f ∧ g) ∨ (¬f ∧ h)`` — the one connective all others use."""
-        self._maybe_reorder()
         return self._ite(f, g, h)
 
     def _ite(self, f: int, g: int, h: int) -> int:
@@ -395,10 +352,9 @@ class BDDManager:
         """
         cache = self._ite_cache
         data = cache.data
-        lvl = self._lvl
+        varr = self._varr
         lo_ = self._lo
         hi_ = self._hi
-        l2v = self._level2var
         tasks = [(0, f, g, h)]
         push = tasks.append
         results: List[int] = []
@@ -451,9 +407,9 @@ class BDDManager:
                 fn = f >> 1
                 gn = g >> 1
                 hn = h >> 1
-                fl = lvl[fn]
-                gl = lvl[gn]
-                hl = lvl[hn]
+                fl = varr[fn]
+                gl = varr[gn]
+                hl = varr[hn]
                 top = fl
                 if gl < top:
                     top = gl
@@ -476,7 +432,7 @@ class BDDManager:
                     h0 = lo_[hn] ^ c
                 else:
                     h1 = h0 = h
-                push((1, l2v[top], key, flip))
+                push((1, top, key, flip))
                 push((0, f0, g0, h0))
                 push((0, f1, g1, h1))
             else:
@@ -504,7 +460,6 @@ class BDDManager:
             return v
         if v == 1:
             return u
-        self._maybe_reorder()
         return self._ite(u, v, 0)
 
     def apply_or(self, u: int, v: int) -> int:
@@ -517,14 +472,12 @@ class BDDManager:
             return v
         if v == 0:
             return u
-        self._maybe_reorder()
         return self._ite(u, 1, v)
 
     def apply_xor(self, u: int, v: int) -> int:
         """Exclusive disjunction ``u ⊕ v``."""
         if u == v:
             return 0
-        self._maybe_reorder()
         return self._ite(u, v ^ 1, v)
 
     def apply(self, op: str, u: int, v: int) -> int:
@@ -548,15 +501,12 @@ class BDDManager:
     def restrict(self, u: int, var: int, value: bool) -> int:
         """The cofactor ``u[var := value]`` (explicit-stack walk)."""
         self._ensure_var(var)
-        self._maybe_reorder()
-        target = self._var2level[var]
         branch = 2 if value else 1  # index into (lo, hi) selection below
         cache = self._restrict_cache
         data = cache.data
-        lvl = self._lvl
+        varr = self._varr
         lo_ = self._lo
         hi_ = self._hi
-        l2v = self._level2var
         tasks: List[Tuple] = [(0, u)]
         results: List[int] = []
         while tasks:
@@ -564,22 +514,22 @@ class BDDManager:
             if frame[0] == 0:
                 e = frame[1]
                 n = e >> 1
-                el = lvl[n]
-                if el > target:  # includes the terminal
+                nv = varr[n]
+                if nv > var:  # includes the terminal
                     results.append(e)
                     continue
                 c = e & 1
-                if el == target:
+                if nv == var:
                     results.append((hi_[n] if branch == 2 else lo_[n]) ^ c)
                     continue
-                key = (n, target, branch)
+                key = (n, var, branch)
                 r = data.get(key)
                 if r is not None:
                     cache.hits += 1
                     results.append(r ^ c)
                     continue
                 cache.misses += 1
-                tasks.append((1, l2v[el], key, c))
+                tasks.append((1, nv, key, c))
                 tasks.append((0, lo_[n]))
                 tasks.append((0, hi_[n]))
             else:
@@ -591,13 +541,12 @@ class BDDManager:
                 results.append(r ^ frame[3])
         return results[-1]
 
-    def _level_cube(self, variables: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
-        """Normalize a variable set into sorted *current* levels plus a dense id."""
+    def _var_cube(self, variables: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
+        """Normalize a variable set into sorted variables plus a dense id."""
         unique = set(variables)
         for var in unique:
             self._ensure_var(var)
-        v2l = self._var2level
-        cube = tuple(sorted(v2l[var] for var in unique))
+        cube = tuple(sorted(unique))
         intern = self._cube_intern
         cube_id = intern.get(cube)
         if cube_id is None:
@@ -607,30 +556,27 @@ class BDDManager:
 
     def exists(self, u: int, variables: Iterable[int]) -> int:
         """Existential quantification ``∃ variables . u``."""
-        self._maybe_reorder()
-        cube, cube_id = self._level_cube(variables)
+        cube, cube_id = self._var_cube(variables)
         return self._exists(u, cube, cube_id, 0)
 
     def forall(self, u: int, variables: Iterable[int]) -> int:
         """Universal quantification ``∀ variables . u`` (the dual of :meth:`exists`)."""
-        self._maybe_reorder()
-        cube, cube_id = self._level_cube(variables)
+        cube, cube_id = self._var_cube(variables)
         return self._exists(u ^ 1, cube, cube_id, 0) ^ 1
 
     def _exists(self, u: int, cube: Tuple[int, ...], cube_id: int, start: int) -> int:
-        """Iterative existential quantification over a level cube.
+        """Iterative existential quantification over a variable cube.
 
         Frames: ``(0, e, i)`` evaluate; ``(1, high, i, key)`` inspect the low
-        result of a quantified level (shortcutting on true); ``(2, var,
-        key)`` rebuild an unquantified level; ``(3, low, key)`` OR-combine.
+        result of a quantified variable (shortcutting on true); ``(2, var,
+        key)`` rebuild an unquantified variable; ``(3, low, key)`` OR-combine.
         """
         ncube = len(cube)
         cache = self._exists_cache
         data = cache.data
-        lvl = self._lvl
+        varr = self._varr
         lo_ = self._lo
         hi_ = self._hi
-        l2v = self._level2var
         tasks: List[Tuple] = [(0, u, start)]
         results: List[int] = []
         while tasks:
@@ -642,8 +588,8 @@ class BDDManager:
                     results.append(e)
                     continue
                 n = e >> 1
-                el = lvl[n]
-                while i < ncube and cube[i] < el:
+                nv = varr[n]
+                while i < ncube and cube[i] < nv:
                     i += 1
                 if i == ncube:
                     results.append(e)
@@ -658,11 +604,11 @@ class BDDManager:
                 c = e & 1
                 low = lo_[n] ^ c
                 high = hi_[n] ^ c
-                if cube[i] == el:
+                if cube[i] == nv:
                     tasks.append((1, high, i + 1, key))
                     tasks.append((0, low, i + 1))
                 else:
-                    tasks.append((2, l2v[el], key))
+                    tasks.append((2, nv, key))
                     tasks.append((0, low, i))
                     tasks.append((0, high, i))
             elif tag == 1:
@@ -699,8 +645,7 @@ class BDDManager:
         ``u ∧ v`` is never materialised.  This is the workhorse of clustered
         image and pre-image computation.
         """
-        self._maybe_reorder()
-        cube, cube_id = self._level_cube(variables)
+        cube, cube_id = self._var_cube(variables)
         return self._relprod(u, v, cube, cube_id, 0)
 
     def _relprod(
@@ -709,10 +654,9 @@ class BDDManager:
         ncube = len(cube)
         cache = self._relprod_cache
         data = cache.data
-        lvl = self._lvl
+        varr = self._varr
         lo_ = self._lo
         hi_ = self._hi
-        l2v = self._level2var
         tasks: List[Tuple] = [(0, u, v, start)]
         results: List[int] = []
         while tasks:
@@ -733,8 +677,8 @@ class BDDManager:
                     u, v = v, u
                 un = u >> 1
                 vn = v >> 1
-                ul = lvl[un]
-                vl = lvl[vn]
+                ul = varr[un]
+                vl = varr[vn]
                 top = ul if ul < vl else vl
                 while i < ncube and cube[i] < top:
                     i += 1
@@ -764,7 +708,7 @@ class BDDManager:
                     tasks.append((1, u1, v1, i + 1, key))
                     tasks.append((0, u0, v0, i + 1))
                 else:
-                    tasks.append((2, l2v[top], key))
+                    tasks.append((2, top, key))
                     tasks.append((0, u0, v0, i))
                     tasks.append((0, u1, v1, i))
             elif tag == 1:
@@ -798,7 +742,7 @@ class BDDManager:
         """Substitute variables per ``mapping`` (var → var).
 
         The mapping must be strictly order-preserving on the operand's
-        support under the *current* level order (with unmapped variables
+        support under the variable order (with unmapped variables
         keeping their place), so the rename is a single structural walk
         rather than a general composition; violations — including ones
         involving unmapped support variables — are detected during the walk.
@@ -810,15 +754,12 @@ class BDDManager:
         for var, target in mapping.items():
             self._ensure_var(var)
             self._ensure_var(target)
-        self._maybe_reorder()
         tag_id = self._mapping_id(mapping)
-        v2l = self._var2level
-        items = sorted(mapping.items(), key=lambda item: v2l[item[0]])
-        for (_, fa), (_, fb) in zip(items, items[1:]):
-            if v2l[fa] >= v2l[fb]:
+        targets = [target for _, target in sorted(mapping.items())]
+        for fa, fb in zip(targets, targets[1:]):
+            if fa >= fb:
                 raise BDDError(
-                    "rename mapping is not order-preserving under the current "
-                    "variable order: %r" % (dict(mapping),)
+                    "rename mapping is not order-preserving: %r" % (dict(mapping),)
                 )
         return self._rename(u, dict(mapping), tag_id)
 
@@ -828,8 +769,6 @@ class BDDManager:
         varr = self._varr
         lo_ = self._lo
         hi_ = self._hi
-        lvl = self._lvl
-        v2l = self._var2level
         tasks: List[Tuple] = [(0, u)]
         results: List[int] = []
         while tasks:
@@ -856,12 +795,11 @@ class BDDManager:
                 rl = results.pop()
                 rh = results.pop()
                 new_var = frame[1]
-                new_level = v2l[new_var]
-                child_top = lvl[rl >> 1]
-                other = lvl[rh >> 1]
+                child_top = varr[rl >> 1]
+                other = varr[rh >> 1]
                 if other < child_top:
                     child_top = other
-                if new_level >= child_top:
+                if new_var >= child_top:
                     raise BDDError(
                         "rename mapping is not order-preserving on the support: "
                         "variable %d maps at or below a renamed child" % (new_var,)
@@ -898,7 +836,6 @@ class BDDManager:
         for var, target in mapping.items():
             self._ensure_var(var)
             self._ensure_var(target)
-        self._maybe_reorder()
         return self._permute(u, dict(mapping), self._mapping_id(mapping))
 
     def _permute(self, u: int, mapping: Dict[int, int], tag: int) -> int:
@@ -907,8 +844,6 @@ class BDDManager:
         varr = self._varr
         lo_ = self._lo
         hi_ = self._hi
-        lvl = self._lvl
-        v2l = self._var2level
         tasks: List[Tuple] = [(0, u)]
         results: List[int] = []
         while tasks:
@@ -935,11 +870,11 @@ class BDDManager:
                 rl = results.pop()
                 rh = results.pop()
                 new_var = frame[1]
-                child_top = lvl[rl >> 1]
-                other = lvl[rh >> 1]
+                child_top = varr[rl >> 1]
+                other = varr[rh >> 1]
                 if other < child_top:
                     child_top = other
-                if v2l[new_var] < child_top:
+                if new_var < child_top:
                     r = self._mk(new_var, rl, rh)
                 else:
                     r = self._ite(self._mk(new_var, 0, 1), rh, rl)
@@ -1008,10 +943,10 @@ class BDDManager:
         weighting).  Complemented edges count as ``2^k - count(node)`` over
         the remaining variables, so no negation is ever materialised.
         """
-        cube, _ = self._level_cube(variables)
+        cube, _ = self._var_cube(variables)
         total = len(cube)
-        position = {level: i for i, level in enumerate(cube)}
-        lvl = self._lvl
+        position = {var: i for i, var in enumerate(cube)}
+        varr = self._varr
         lo_ = self._lo
         hi_ = self._hi
         counts: Dict[int, int] = {0: 0}
@@ -1020,11 +955,11 @@ class BDDManager:
             if not node:
                 return total
             try:
-                return position[lvl[node]]
+                return position[varr[node]]
             except KeyError:
                 raise BDDError(
                     "sat_count variable set does not cover support variable %d"
-                    % self._varr[node]
+                    % varr[node]
                 ) from None
 
         # Iterative post-order: compute counts children-first.
@@ -1072,15 +1007,14 @@ class BDDManager:
         """
         for var in set(variables):
             self._ensure_var(var)
-        v2l = self._var2level
-        order = sorted(set(variables), key=v2l.__getitem__)
+        order = sorted(set(variables))
         support = self.support(u)
         if not support <= set(order):
             raise BDDError(
                 "iter_models variable set does not cover support variables %s"
                 % sorted(support - set(order))
             )
-        lvl = self._lvl
+        varr = self._varr
         lo_ = self._lo
         hi_ = self._hi
 
@@ -1092,7 +1026,7 @@ class BDDManager:
                 return
             var = order[index]
             n = e >> 1
-            if n and lvl[n] == v2l[var]:
+            if varr[n] == var:
                 c = e & 1
                 for model in rec(lo_[n] ^ c, index + 1):
                     model[var] = False
@@ -1116,8 +1050,7 @@ class BDDManager:
         """Drop every operation-cache entry; returns the number dropped.
 
         The cube/tag interning tables are dropped too — their ids are
-        embedded in (now gone) cache keys and their content is order-
-        dependent.
+        embedded in the (now gone) cache keys.
         """
         dropped = sum(cache.clear() for cache in self._caches)
         self._cube_intern.clear()
@@ -1148,7 +1081,6 @@ class BDDManager:
                     stack.append(child)
         freed = 0
         varr = self._varr
-        ref = self._ref
         free = self._free
         for table in self._subtables:
             dead = [key for key, node in table.items() if not marked[node]]
@@ -1157,13 +1089,6 @@ class BDDManager:
                 varr[node] = -2
                 free.append(node)
                 freed += 1
-        # Recompute internal parent counts from the survivors (self-healing).
-        for node in range(len(varr)):
-            ref[node] = 0
-        for table in self._subtables:
-            for (lo, hi) in table.keys():
-                ref[lo >> 1] += 1
-                ref[hi >> 1] += 1
         self._live -= freed
         self._gc_runs += 1
         self._gc_reclaimed += freed
@@ -1178,7 +1103,7 @@ class BDDManager:
         return freed
 
     def stats(self) -> ManagerStats:
-        """A snapshot of node, GC, reorder, and cache counters."""
+        """A snapshot of node, GC, and cache counters."""
         return ManagerStats(
             live_nodes=self._live,
             peak_live_nodes=self._peak,
@@ -1186,8 +1111,6 @@ class BDDManager:
             external_references=sum(self._external.values()),
             gc_runs=self._gc_runs,
             gc_reclaimed=self._gc_reclaimed,
-            reorder_runs=self._reorder_runs,
-            sift_swaps=self._sift_swaps,
             caches=tuple(cache.stats() for cache in self._caches),
         )
 
@@ -1206,8 +1129,6 @@ class BDDManager:
         gauge("bdd.num_vars", **labels).set(stats.num_vars)
         gauge("bdd.gc_runs", **labels).set(stats.gc_runs)
         gauge("bdd.gc_reclaimed", **labels).set(stats.gc_reclaimed)
-        gauge("bdd.reorder_runs", **labels).set(stats.reorder_runs)
-        gauge("bdd.sift_swaps", **labels).set(stats.sift_swaps)
         for cache in stats.caches:
             total = cache.hits + cache.misses
             gauge("bdd.cache.hits", cache=cache.name, **labels).set(cache.hits)
@@ -1218,292 +1139,3 @@ class BDDManager:
             gauge("bdd.cache.hit_rate", cache=cache.name, **labels).set(
                 round(cache.hits / total, 6) if total else 0.0
             )
-
-    #: Backwards-compatible aliases for the unified apply cache counters.
-    @property
-    def apply_cache_hits(self) -> int:
-        return self._ite_cache.hits
-
-    @property
-    def apply_cache_misses(self) -> int:
-        return self._ite_cache.misses
-
-    # -- dynamic variable reordering ------------------------------------------------
-
-    def variable_groups(self) -> Tuple[Tuple[int, ...], ...]:
-        """The non-singleton sifting groups currently registered, in level order."""
-        return tuple(
-            tuple(block) for block in self._blocks if len(block) > 1
-        )
-
-    def set_variable_groups(self, groups: Sequence[Sequence[int]]) -> None:
-        """Tie variables into blocks that sifting moves as units.
-
-        Each group must consist of distinct, currently-adjacent variables
-        (adjacent in the *current* level order); ungrouped variables form
-        singleton blocks.  The previous grouping is replaced wholesale —
-        callers sharing a manager merge :meth:`variable_groups` into their
-        request (as the symbolic Kripke layer does) so one client cannot
-        silently dissolve another's blocks.  The symbolic Kripke layer
-        groups every current/next pair so its renames stay order-preserving
-        under any reorder.
-        """
-        seen: set = set()
-        v2l = self._var2level
-        blocks: List[List[int]] = []
-        for group in groups:
-            group = list(group)
-            if not group:
-                continue
-            for var in group:
-                self._ensure_var(var)
-                if var in seen:
-                    raise BDDError("variable %d appears in more than one group" % var)
-                seen.add(var)
-            group.sort(key=v2l.__getitem__)
-            levels = [v2l[var] for var in group]
-            if levels != list(range(levels[0], levels[0] + len(levels))):
-                raise BDDError(
-                    "group %r is not contiguous in the current variable order" % (group,)
-                )
-            blocks.append(group)
-        for var in range(self.num_vars):
-            if var not in seen:
-                blocks.append([var])
-        blocks.sort(key=lambda block: v2l[block[0]])
-        self._blocks = blocks
-
-    def var_order(self) -> Tuple[int, ...]:
-        """The current variable order, top level first (persistable)."""
-        return tuple(self._level2var)
-
-    def set_var_order(self, order: Sequence[int]) -> None:
-        """Restore a saved variable order (e.g. from :meth:`var_order`).
-
-        Implemented as a sequence of adjacent block swaps, so every live edge
-        stays valid.  The target order must keep each sifting group
-        contiguous.
-        """
-        order = list(order)
-        if sorted(order) != list(range(self.num_vars)):
-            raise BDDError("set_var_order needs a permutation of all variable ids")
-        self.clear_caches()
-        blocks = self._blocks
-        # Target block sequence: blocks sorted by their first variable's
-        # position in the requested order; each block must be contiguous there.
-        position = {var: i for i, var in enumerate(order)}
-        for block in blocks:
-            positions = sorted(position[var] for var in block)
-            if positions != list(range(positions[0], positions[0] + len(positions))):
-                raise BDDError(
-                    "target order splits the variable group %r" % (block,)
-                )
-        target = sorted(range(len(blocks)), key=lambda b: position[blocks[b][0]])
-        # Selection sort with adjacent block swaps.
-        sequence = list(range(len(blocks)))
-        for goal_index, want in enumerate(target):
-            at = sequence.index(want)
-            while at > goal_index:
-                self._swap_adjacent_blocks(at - 1)
-                sequence[at - 1], sequence[at] = sequence[at], sequence[at - 1]
-                at -= 1
-        # Within-block order is preserved by construction; verify the result.
-        if list(self._level2var) != [var for block in self._blocks for var in block]:
-            raise BDDError("internal error: block swap sequence lost coherence")
-        if _sanitize.MODE:
-            _sanitize.maybe_check_manager(self)
-
-    def reorder(self, max_growth: float = 1.2) -> int:
-        """Rudell sifting over the variable blocks; returns live nodes after.
-
-        Runs :meth:`collect` first (so decisions see only live nodes), then
-        sifts blocks in decreasing-size order: each block is moved through
-        every position by adjacent block swaps, abandoning a direction once
-        the table grows past ``max_growth`` times the best size seen, and is
-        parked at the best position.  Operation caches are invalid across a
-        reorder and are cleared.
-        """
-        self._reorder_runs += 1
-        with _obs_span("bdd.reorder") as sp:
-            live_before = self._live
-            swaps_before = self._sift_swaps
-            self.collect()
-            blocks = self._blocks
-            if len(blocks) >= 2:
-                sizes = []
-                for index, block in enumerate(blocks):
-                    sizes.append(
-                        (-sum(len(self._subtables[var]) for var in block), index, block)
-                    )
-                sizes.sort()
-                for _, _, block in sizes:
-                    self._sift_block(block, max_growth)
-                self.clear_caches()
-                threshold = self.auto_reorder_threshold
-                if threshold is not None and self._live >= threshold:
-                    self.auto_reorder_threshold = max(threshold * 2, self._live * 2)
-            swaps = self._sift_swaps - swaps_before
-            _metrics.counter("bdd.reorder.runs").inc()
-            _metrics.counter("bdd.reorder.swaps").inc(swaps)
-            sp.set(live_before=live_before, live_after=self._live, swaps=swaps)
-        if _sanitize.MODE:
-            _sanitize.maybe_check_manager(self)
-        return self._live
-
-    def _maybe_reorder(self) -> None:
-        threshold = self.auto_reorder_threshold
-        if threshold is not None and self._live > threshold:
-            self.reorder()
-
-    def _sift_block(self, block: List[int], max_growth: float) -> None:
-        blocks = self._blocks
-        start = blocks.index(block)
-        nb = len(blocks)
-        best_size = self._live
-        best_pos = start
-        pos = start
-        # Visit the nearer end first.
-        directions = ("up", "down") if start < nb - 1 - start else ("down", "up")
-        for direction in directions:
-            if direction == "down":
-                while pos < nb - 1:
-                    self._swap_adjacent_blocks(pos)
-                    pos += 1
-                    if self._live < best_size:
-                        best_size = self._live
-                        best_pos = pos
-                    elif self._live > max_growth * best_size:
-                        break
-            else:
-                while pos > 0:
-                    self._swap_adjacent_blocks(pos - 1)
-                    pos -= 1
-                    if self._live < best_size:
-                        best_size = self._live
-                        best_pos = pos
-                    elif self._live > max_growth * best_size:
-                        break
-        while pos < best_pos:
-            self._swap_adjacent_blocks(pos)
-            pos += 1
-        while pos > best_pos:
-            self._swap_adjacent_blocks(pos - 1)
-            pos -= 1
-
-    def _swap_adjacent_blocks(self, index: int) -> None:
-        """Exchange ``blocks[index]`` and ``blocks[index + 1]`` by level swaps."""
-        blocks = self._blocks
-        upper = blocks[index]
-        lower = blocks[index + 1]
-        top = self._var2level[upper[0]]
-        s = len(upper)
-        t = len(lower)
-        for k in range(s):
-            src = top + s - 1 - k
-            for j in range(t):
-                self._swap_levels(src + j)
-        blocks[index], blocks[index + 1] = lower, upper
-
-    def _swap_levels(self, level: int) -> None:
-        """Swap the variables at ``level`` and ``level + 1`` in place.
-
-        Every live node keeps its index (so every external edge stays
-        valid); nodes at the upper level that depend on the lower variable
-        are rewritten in place, dead upper-level nodes are reclaimed, and
-        orphaned children are cascade-freed via the internal parent counts.
-        """
-        self._sift_swaps += 1
-        l2v = self._level2var
-        v2l = self._var2level
-        x = l2v[level]
-        y = l2v[level + 1]
-        varr = self._varr
-        lo_ = self._lo
-        hi_ = self._hi
-        ref = self._ref
-        lvl = self._lvl
-        external = self._external
-        xtab = self._subtables[x]
-        keep: Dict[Tuple[int, int], int] = {}
-        rewrite: List[int] = []
-        dead: List[int] = []
-        for key, n in xtab.items():
-            lo, hi = key
-            if varr[lo >> 1] == y or varr[hi >> 1] == y:
-                if ref[n] == 0 and n not in external:
-                    dead.append(n)
-                else:
-                    rewrite.append(n)
-            else:
-                keep[key] = n
-        # Commit the order change before creating nodes for the new x level.
-        l2v[level] = y
-        l2v[level + 1] = x
-        v2l[x] = level + 1
-        v2l[y] = level
-        self._subtables[x] = keep
-        ytab = self._subtables[y]
-        for n in dead:
-            # Already unlinked from the x subtable (it was replaced by `keep`);
-            # release the children and recycle the slot directly.
-            for child in (lo_[n] >> 1, hi_[n] >> 1):
-                if child:
-                    ref[child] -= 1
-                    if not ref[child] and child not in external:
-                        self._free_cascade(child)
-            varr[n] = -2
-            self._free.append(n)
-            self._live -= 1
-        for n in rewrite:
-            lo = lo_[n]
-            hi = hi_[n]
-            ln = lo >> 1
-            if varr[ln] == y:
-                c = lo & 1
-                f00 = lo_[ln] ^ c
-                f01 = hi_[ln] ^ c
-            else:
-                f00 = f01 = lo
-            hn = hi >> 1
-            if varr[hn] == y:
-                f10 = lo_[hn]
-                f11 = hi_[hn]
-            else:
-                f10 = f11 = hi
-            new_lo = self._mk(x, f00, f10)
-            new_hi = self._mk(x, f01, f11)  # regular: f11 is a then-edge
-            ref[new_lo >> 1] += 1
-            ref[new_hi >> 1] += 1
-            for old_child in (ln, hn):
-                ref[old_child] -= 1
-                if not ref[old_child] and old_child not in external:
-                    self._free_cascade(old_child)
-            varr[n] = y
-            lo_[n] = new_lo
-            hi_[n] = new_hi
-            ytab[(new_lo, new_hi)] = n
-        for n in keep.values():
-            lvl[n] = level + 1
-        for n in ytab.values():
-            lvl[n] = level
-
-    def _free_cascade(self, node: int) -> None:
-        """Free ``node`` and, transitively, children left without parents."""
-        varr = self._varr
-        lo_ = self._lo
-        hi_ = self._hi
-        ref = self._ref
-        external = self._external
-        free = self._free
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            del self._subtables[varr[n]][(lo_[n], hi_[n])]
-            for child in (lo_[n] >> 1, hi_[n] >> 1):
-                if child:
-                    ref[child] -= 1
-                    if not ref[child] and child not in external:
-                        stack.append(child)
-            varr[n] = -2
-            free.append(n)
-            self._live -= 1

@@ -2,12 +2,11 @@
 
 A full structural audit of a :class:`~repro.bdd.manager.BDDManager`:
 unique-table canonicality (hash-consing, the regular-``then`` complement
-rule, reduction), variable-order consistency, internal reference counts
-recomputed from scratch, external handle accounting, and operation
-caches referencing only live nodes.  Plus :func:`assert_no_leaks`, a
-context manager that catches external-reference leaks (e.g. a fixpoint
-memo holding :class:`~repro.bdd.function.BDDFunction` handles past their
-scope).
+rule, reduction), the variable order, slot bookkeeping, external handle
+accounting, and operation caches referencing only live nodes.  Plus
+:func:`assert_no_leaks`, a context manager that catches external-reference
+leaks (e.g. a fixpoint memo holding :class:`~repro.bdd.function.BDDFunction`
+handles past their scope).
 
 Like :mod:`repro.obs`, the disabled path is effectively free: the
 manager's hook sites test one module global (:data:`MODE`) and only call
@@ -25,7 +24,7 @@ from __future__ import annotations
 import gc as _gc
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 from repro.errors import SanitizerError
 
@@ -79,43 +78,27 @@ def check_manager(manager) -> None:
     The checks mirror what :meth:`BDDManager._mk` and
     :meth:`BDDManager.collect` promise:
 
-    * the variable order maps (``_var2level``/``_level2var``) are inverse
-      permutations, one subtable per variable;
     * every unique-table entry is canonical: stored under its own
       ``(lo, hi)`` key, high edge regular (complement bit clear), children
-      distinct, live, and strictly below the node in the current order;
+      distinct, live, and strictly below the node in the order (each
+      child's variable is greater than the node's; the terminal's is
+      greater than all);
     * slot bookkeeping: live slots and free-list slots partition the node
       array, ``len(manager)`` agrees with both;
-    * internal reference counts equal the parent counts recomputed from
-      the unique table;
     * external references point at live nodes with positive counts;
     * every operation-cache key and value references only live nodes.
     """
-    from repro.bdd.manager import TERMINAL_LEVEL
+    from repro.bdd.manager import _TERMINAL_VAR
 
     varr = manager._varr
     lo_ = manager._lo
     hi_ = manager._hi
-    ref = manager._ref
-    lvl = manager._lvl
-    v2l = manager._var2level
-    l2v = manager._level2var
     subtables = manager._subtables
     slots = len(varr)
 
-    # -- variable order ----------------------------------------------------
-    if not (len(v2l) == len(l2v) == len(subtables)):
-        _fail(manager, "var2level/level2var/subtables lengths disagree")
-    for var, level in enumerate(v2l):
-        if not (0 <= level < len(l2v)) or l2v[level] != var:
-            _fail(
-                manager,
-                "var2level/level2var are not inverse at var %d (level %r)" % (var, level),
-            )
-
     # -- terminal ----------------------------------------------------------
-    if varr[0] != -1 or lvl[0] != TERMINAL_LEVEL:
-        _fail(manager, "terminal slot 0 corrupted (varr=%d lvl=%d)" % (varr[0], lvl[0]))
+    if varr[0] != _TERMINAL_VAR:
+        _fail(manager, "terminal slot 0 corrupted (varr=%d)" % varr[0])
 
     def edge_ok(edge: int) -> bool:
         node = edge >> 1
@@ -123,7 +106,6 @@ def check_manager(manager) -> None:
 
     # -- unique table ------------------------------------------------------
     seen: Dict[int, int] = {}  # node -> owning var
-    recomputed: List[int] = [0] * slots
     for var, table in enumerate(subtables):
         for (lo, hi), node in table.items():
             if not (0 < node < slots):
@@ -154,25 +136,18 @@ def check_manager(manager) -> None:
                 )
             if lo == hi:
                 _fail(manager, "node %d is unreduced: lo == hi == %d" % (node, lo))
-            if lvl[node] != v2l[var]:
-                _fail(
-                    manager,
-                    "node %d caches level %d but var %d sits at level %d"
-                    % (node, lvl[node], var, v2l[var]),
-                )
             for child_edge in (lo, hi):
                 if not edge_ok(child_edge):
                     _fail(
                         manager,
                         "node %d has dead/out-of-range child edge %d" % (node, child_edge),
                     )
-                if lvl[child_edge >> 1] <= lvl[node]:
+                if varr[child_edge >> 1] <= var:
                     _fail(
                         manager,
-                        "ordering violated: node %d (level %d) has child %d at level %d"
-                        % (node, lvl[node], child_edge >> 1, lvl[child_edge >> 1]),
+                        "ordering violated: node %d (var %d) has child %d at var %d"
+                        % (node, var, child_edge >> 1, varr[child_edge >> 1]),
                     )
-                recomputed[child_edge >> 1] += 1
 
     # -- slot partition ----------------------------------------------------
     live = {node for node in range(1, slots) if varr[node] >= 0}
@@ -190,23 +165,6 @@ def check_manager(manager) -> None:
             manager,
             "live counter %d does not match table population %d" % (len(manager), 1 + len(live)),
         )
-
-    # -- reference counts --------------------------------------------------
-    # The terminal is immortal: _free_cascade never decrements it, so its
-    # count may drift above the true parent count between collects (collect
-    # recomputes it exactly).  Every other live node must match exactly.
-    if ref[0] < recomputed[0]:
-        _fail(
-            manager,
-            "terminal refcount %d fell below its %d parents" % (ref[0], recomputed[0]),
-        )
-    for node in live:
-        if ref[node] != recomputed[node]:
-            _fail(
-                manager,
-                "refcount of node %d is %d but %d parents exist"
-                % (node, ref[node], recomputed[node]),
-            )
 
     # -- external handles --------------------------------------------------
     for node, count in manager._external.items():

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "emit a JSON profile to stderr: per-phase wall times (build, each "
             "check) plus, for the bdd engine, live/peak node counts, cache "
-            "hit/miss/evict statistics, and GC/reorder activity; for the "
+            "hit/miss/evict statistics, and GC activity; for the "
             "SAT engines, solver statistics (conflicts, decisions, "
             "propagations, learned/subsumed clauses) and, for ic3, the "
             "frame/obligation/generalization counters"
@@ -492,10 +492,9 @@ def _run_check(
         }
         if engine == "portfolio":
             payload["portfolio"] = dict(checker.last_outcomes)
-        if engine == "bdd":
+        if engine == "bdd" or engine in SAT_ENGINES:
             payload["bdd"] = structure.manager.stats().as_dict()
         if engine in SAT_ENGINES:
-            payload["bdd"] = structure.manager.stats().as_dict()
             payload["sat"] = checker.stats()
             if engine == "bmc":
                 payload["bound"] = checker.bound

@@ -32,17 +32,12 @@ worthwhile when that set is small (a current-vars × next-vars conjunction
 multiplies BDD sizes under the interleaved order, which is why the EG
 fixpoint of :mod:`repro.mc.symbolic` measured faster without it).
 
-Variable-order convention
--------------------------
-State bit ``k`` lives at BDD *variable* ``2k`` (its *current* copy) and
-variable ``2k + 1`` (its *next* copy).  Variables are stable ids; the
-manager may reorder their levels dynamically (Rudell sifting), and every
-current/next pair is registered as a sifting *group* so the pair stays
-adjacent and the current↔next renames remain order-preserving under any
-order — the encoding therefore survives reorders unchanged.  Everything the
-structure stores is held through reference-counted :class:`~repro.bdd.BDDFunction`
-handles, so the manager's mark-and-sweep GC and the reorderer treat it as
-roots.
+State bit ``k`` lives at BDD variable ``2k`` (its *current* copy) and
+variable ``2k + 1`` (its *next* copy).  The manager's order is fixed by
+variable id, so the pairs are interleaved and the current↔next renames are
+order-preserving.  Everything the structure stores is held through
+reference-counted :class:`~repro.bdd.BDDFunction` handles, so the manager's
+mark-and-sweep GC treats it as roots.
 """
 
 from __future__ import annotations
@@ -222,20 +217,6 @@ class SymbolicKripkeStructure:
             self._n2c = {2 * bit + 1: 2 * bit for bit in range(num_bits)}
             for var in self._current_vars + self._next_vars:
                 manager.var(var)
-            # Keep every current/next pair a sifting block so the c2n/n2c renames
-            # stay order-preserving under any dynamic reorder.  Groups already
-            # registered on a *shared* manager (another encoding's pairs) are
-            # preserved by merging them into the request; a manager that was
-            # already reordered incompatibly simply keeps its existing blocks.
-            pairs = {(2 * bit, 2 * bit + 1) for bit in range(num_bits)}
-            mine = {var for pair in pairs for var in pair}
-            for group in manager.variable_groups():
-                if not mine.intersection(group):
-                    pairs.add(tuple(group))
-            try:
-                manager.set_variable_groups(sorted(pairs))
-            except BDDError:  # pragma: no cover - shared-manager corner case
-                pass
             self._clusters = self._build_clusters(transition_parts)
             self._initial = BDDFunction(manager, initial)
             self._true = BDDFunction.true(manager)
@@ -335,12 +316,12 @@ class SymbolicKripkeStructure:
         return self._num_bits
 
     @property
-    def current_levels(self) -> Tuple[int, ...]:
+    def current_vars(self) -> Tuple[int, ...]:
         """The BDD variables carrying the current-state bits (``0, 2, 4, …``)."""
         return self._current_vars
 
     @property
-    def next_levels(self) -> Tuple[int, ...]:
+    def next_vars(self) -> Tuple[int, ...]:
         """The BDD variables carrying the next-state bits (``1, 3, 5, …``)."""
         return self._next_vars
 
@@ -951,7 +932,7 @@ class ProcessFamilyEncoding:
         return node
 
     @property
-    def current_levels(self) -> Tuple[int, ...]:
+    def current_vars(self) -> Tuple[int, ...]:
         """All current-state variables of the family, in order."""
         return tuple(2 * bit for bit in range(self.num_bits))
 

@@ -143,9 +143,8 @@ class _Unroller:
     edge lowered into the solver is pinned through a refcounted
     :class:`~repro.bdd.BDDFunction` handle: the per-frame Tseitin caches key
     on node indices, which must survive the manager's mark-and-sweep GC.
-    (Dynamic reordering rewrites nodes in place and would invalidate the
-    caches — the BMC engine never triggers it and assumes the shared manager
-    does not reorder between queries.)
+    The manager's variable order is fixed, so a live node's ``(var, low,
+    high)`` never changes and a cached index stays valid across queries.
     """
 
     def __init__(self, symbolic: SymbolicKripkeStructure) -> None:

@@ -37,8 +37,8 @@ ring sizes only the symbolic encoding reaches.
 
 Every memoised satisfaction set is held through a reference-counted
 :class:`~repro.bdd.BDDFunction` handle, as is all fixpoint state, so the
-manager's garbage collector and dynamic reordering can run at any operation
-boundary without invalidating a checker.
+manager's garbage collector can run at any operation boundary without
+invalidating a checker.
 
 Unlike the explicit checkers, the symbolic checker also *evaluates index
 quantifiers itself* when the underlying encoding knows its index set: family

@@ -5,13 +5,14 @@ checked beyond the explicit range (up to r = 20, twenty million states);
 the SAT engines refute the seeded bugs and prove the invariants they can,
 next to the BDD engine on the same families.  Exact counts (``r·2^r``
 reachable states, counterexample depths, "proved by 1-induction"), the
-peak-live-node ceilings and the r = 12 work ceilings are deterministic, so
-they gate regressions without timing anything; wall time is measured by
-the repo benchmark (``perfbench/run.py``).
+peak-live-node ceilings, the r = 12 work ceilings and the node-table pins
+are deterministic, so they gate regressions without timing anything; wall
+time is measured by the repo benchmark (``perfbench/run.py``).
 """
 
 import pytest
 
+import repro.bdd.sanitize as bdd_sanitize
 from repro.analysis.explosion import symbolic_token_ring_explosion_sweep
 from repro.kripke.paths import is_path
 from repro.logic.builders import exactly_one
@@ -133,6 +134,34 @@ def test_symbolic_ring12_work_ceilings():
     for name, baseline in _R12_WORK.items():
         ceiling = int(baseline * _WORK_MARGIN)
         assert work[name] <= ceiling, "%s regressed: %d > %d" % (name, work[name], ceiling)
+
+
+#: The node table each direct encoding leaves behind: the initial-state and
+#: reachable-domain edges, ``len(manager)`` and the peak live-node count.
+#: Allocation order fixes every node index, so these are exact; a kernel
+#: change that keeps the work the same keeps them all, and so does a
+#: relabelling of the variables that keeps their order.
+_NODE_TABLE_PINS = {
+    "ring-6": (lambda: token_ring.symbolic_token_ring(6), (4358, 7124, 3613, 3613)),
+    "mutex-5": (lambda: mutex.symbolic_mutex(5), (1252, 2418, 1219, 1219)),
+    "counter-8": (lambda: counter.symbolic_counter(8), (654, 3957, 1979, 1979)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NODE_TABLE_PINS))
+def test_node_table_pins(name):
+    build, pins = _NODE_TABLE_PINS[name]
+    structure = build()
+    manager = structure.manager
+    # Under REPRO_SANITIZE=1 the kernel sanitizer audits the whole build.
+    bdd_sanitize.maybe_check_manager(manager)
+    table = (
+        structure.initial,
+        structure.domain,
+        len(manager),
+        manager.stats().peak_live_nodes,
+    )
+    assert table == pins
 
 
 # -- bmc: time-to-counterexample and k-induction ---------------------------

@@ -5,7 +5,7 @@ function is equally likely) and random permutations of those variables:
 the permuted diagram must evaluate like the original read through the
 permutation, undo under the inverse permutation edge for edge, leave a
 function alone under the identity, agree with the order-preserving
-``rename`` wherever that applies, and stay right after a sifting reorder.
+``rename`` wherever that applies.
 """
 
 from itertools import product
@@ -93,25 +93,3 @@ def test_order_preserving_maps_agree_with_rename(case, targets):
     function = _build(manager, num_vars, table)
     mapping = dict(zip(range(num_vars), sorted(targets)))
     assert function.permute(mapping) == function.rename(mapping)
-
-
-@given(case=functions_and_permutations(), seed=st.integers(min_value=0, max_value=3))
-@settings(max_examples=50, deadline=None)
-def test_permute_stays_correct_after_reorder(case, seed):
-    num_vars, table, permutation = case
-    manager = BDDManager()
-    function = _build(manager, num_vars, table)
-    mapping = dict(enumerate(permutation))
-    before = function.permute(mapping)
-    # Skew the table so sifting has something to move, then reorder.
-    _skew = [
-        BDDFunction.variable(manager, var)
-        ^ BDDFunction.variable(manager, (var + seed + 1) % num_vars)
-        for var in range(num_vars)
-    ]
-    manager.reorder()
-    after = function.permute(mapping)
-    assert after == before
-    for assignment in _assignments(num_vars):
-        pulled_back = {var: assignment[mapping[var]] for var in range(num_vars)}
-        assert after.evaluate(assignment) == function.evaluate(pulled_back)

@@ -5,11 +5,7 @@ satisfaction sets from :class:`SymbolicCTLModelChecker`, the compiled bitset
 engine, and the naive frozenset oracle — ``crosscheck_ctl_engines`` now
 replays every formula through all three.  Further properties pin down the
 symbolic representation itself: complements are taken relative to the domain,
-satisfy-counts match set cardinalities, the encoding round-trips states, and
-— since the dynamic-reordering core — sifting (`BDDManager.reorder`) must
-preserve the semantics of every satisfaction set, sat-count, and engine
-verdict, before and after the reorder, on both previously computed handles
-and freshly computed ones.
+satisfy-counts match set cardinalities, and the encoding round-trips states.
 """
 
 from hypothesis import given, settings
@@ -86,53 +82,6 @@ def test_symbolic_negation_is_domain_complement(structure, formula):
 def test_satisfy_count_matches_set_cardinality(structure, formula):
     checker = SymbolicCTLModelChecker(structure)
     assert checker.satisfy_count(formula) == len(checker.satisfaction_set(formula))
-
-
-@given(structure=kripke_structures(), formula=ctl_formulas(max_depth=3))
-@settings(max_examples=75, deadline=None)
-def test_reorder_preserves_satisfaction_semantics(structure, formula):
-    """Sifting must be invisible to every engine-visible answer.
-
-    Satisfaction sets, sat-counts, and the initial-state verdict of random
-    formulas are recorded, the manager is sifted, and everything is
-    re-checked three ways: the *old* handles still decode identically, a
-    *fresh* checker on the reordered encoding recomputes the same answers,
-    and both still agree with the naive and bitset engines.
-    """
-    checker = SymbolicCTLModelChecker(structure)
-    manager = checker.symbolic.manager
-    before_set = checker.satisfaction_set(formula)
-    before_count = checker.satisfy_count(formula)
-    before_verdict = checker.check(formula)
-
-    live_after = manager.reorder()
-    assert live_after == len(manager)
-
-    # The memoised handles survive the reorder with identical semantics.
-    assert checker.satisfaction_set(formula) == before_set
-    assert checker.satisfy_count(formula) == before_count
-    assert checker.check(formula) == before_verdict
-
-    # A fresh computation on the reordered encoding agrees too.
-    fresh = SymbolicCTLModelChecker(checker.symbolic)
-    assert fresh.satisfaction_set(formula) == before_set
-    assert fresh.satisfy_count(formula) == before_count
-
-    # And the reordered symbolic engine still matches the explicit engines.
-    assert before_set == CTLModelChecker(structure).satisfaction_set(formula)
-    assert before_set == BitsetCTLModelChecker(structure).satisfaction_set(formula)
-
-
-@given(structure=kripke_structures(), formula=ctl_formulas(max_depth=2))
-@settings(max_examples=30, deadline=None)
-def test_reorder_between_computations_is_sound(structure, formula):
-    """Reordering *before* a formula is ever computed must change nothing."""
-    baseline = CTLModelChecker(structure).satisfaction_set(formula)
-    checker = SymbolicCTLModelChecker(structure)
-    checker.symbolic.manager.reorder()
-    assert checker.satisfaction_set(formula) == baseline
-    checker.symbolic.manager.reorder()
-    assert checker.satisfaction_set(Not(formula)) == structure.states - baseline
 
 
 @given(structure=kripke_structures())

@@ -5,9 +5,8 @@ form (structural equality is edge-id equality, O(1) negation, regular high
 edges), the unified ITE apply cache, quantification and relational products
 against brute-force truth tables, order-preserving renaming with canonical
 content-derived cache keys, satisfy-counting, mark-and-sweep garbage
-collection driven by reference-counted handles, bounded operation caches with
-hit/miss/evict statistics, and dynamic reordering (Rudell sifting) with
-variable groups and order persistence.
+collection driven by reference-counted handles, and bounded operation caches
+with hit/miss/evict statistics.
 """
 
 from itertools import product
@@ -85,7 +84,7 @@ def test_high_edges_are_always_regular(manager, abc):
     for var, table in enumerate(manager._subtables):
         for (lo, hi), node in table.items():
             assert hi & 1 == 0, "stored high edge must be regular"
-            assert manager._lvl[node] < min(manager._lvl[lo >> 1], manager._lvl[hi >> 1])
+            assert var < min(manager._varr[lo >> 1], manager._varr[hi >> 1])
         assert len(set(table.values())) == len(table)
 
 
@@ -104,23 +103,27 @@ def test_terminals_and_literals(manager):
 # ---------------------------------------------------------------------------
 
 
+def _ite_cache(manager):
+    return [cache for cache in manager.stats().caches if cache.name == "ite"][0]
+
+
 def test_apply_cache_hits_on_repeated_conjunction(manager, abc):
     a, b, c = abc
     f = (a | b) & (b | c)
-    before = manager.apply_cache_hits
+    before = _ite_cache(manager).hits
     g = (a | b) & (b | c)  # same operands: every recursive step must hit
     assert g == f
-    assert manager.apply_cache_hits > before
+    assert _ite_cache(manager).hits > before
 
 
 def test_apply_cache_shared_across_expressions(manager, abc):
     a, b, c = abc
     lhs = (a & b) | c
-    misses_before = manager.apply_cache_misses
+    misses_before = _ite_cache(manager).misses
     rhs = (a & b) | c
     assert rhs == lhs
     # The second build re-resolves a & b from the cache without new misses.
-    assert manager.apply_cache_misses == misses_before
+    assert _ite_cache(manager).misses == misses_before
 
 
 def test_apply_dispatcher_derived_ops(manager, abc):
@@ -356,124 +359,6 @@ def test_stats_snapshot_shape(manager, abc):
     assert set(payload["caches"]) == {"ite", "exists", "relprod", "rename", "restrict", "permute"}
     ite = [cache for cache in stats.caches if cache.name == "ite"][0]
     assert 0.0 <= ite.hit_rate <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# Dynamic reordering
-# ---------------------------------------------------------------------------
-
-
-def _random_functions(manager, num_vars, count, seed):
-    import random
-
-    rng = random.Random(seed)
-    vs = [BDDFunction.variable(manager, i) for i in range(num_vars)]
-
-    def build(depth):
-        if depth == 0:
-            return rng.choice(vs)
-        op = rng.choice("&|^")
-        left, right = build(depth - 1), build(depth - 1)
-        return {"&": left & right, "|": left | right, "^": left ^ right}[op]
-
-    return [build(4) for _ in range(count)]
-
-
-def test_reorder_preserves_semantics_and_edges(manager):
-    functions = _random_functions(manager, 8, 10, seed=11)
-    tables = [brute_force(f, tuple(range(8))) for f in functions]
-    stats_before = manager.stats()
-    manager.reorder()
-    stats_after = manager.stats()
-    assert stats_after.reorder_runs == stats_before.reorder_runs + 1
-    assert stats_after.sift_swaps > 0
-    # Every handle's edge is still valid and denotes the same function.
-    for function, table in zip(functions, tables):
-        assert brute_force(function, tuple(range(8))) == table
-    # Caches do not survive a reorder.
-    assert all(cache.size == 0 for cache in stats_after.caches)
-
-
-def test_reorder_can_shrink_the_table(manager):
-    # A function with a known bad/good order: x0 x2 x4 ... interleaved
-    # equality pairs; the identity order (pairs split) is exponentially
-    # worse than the paired order, which sifting should approach.
-    pairs = 5
-    f = BDDFunction.true(manager)
-    for k in range(pairs):
-        left = BDDFunction.variable(manager, k)
-        right = BDDFunction.variable(manager, pairs + k)
-        f = f & (left.iff(right))
-    before = f.size
-    manager.reorder()
-    assert f.size < before
-
-
-def test_variable_groups_stay_contiguous(manager):
-    for i in range(6):
-        manager.var(i)
-    manager.set_variable_groups([(0, 1), (2, 3), (4, 5)])
-    functions = _random_functions(manager, 6, 6, seed=3)
-    tables = [brute_force(f, tuple(range(6))) for f in functions]
-    manager.reorder()
-    order = manager.var_order()
-    for pair in ((0, 1), (2, 3), (4, 5)):
-        assert order.index(pair[1]) == order.index(pair[0]) + 1, order
-    for function, table in zip(functions, tables):
-        assert brute_force(function, tuple(range(6))) == table
-
-
-def test_variable_group_validation(manager):
-    for i in range(4):
-        manager.var(i)
-    with pytest.raises(BDDError):
-        manager.set_variable_groups([(0, 1), (1, 2)])  # overlapping
-    with pytest.raises(BDDError):
-        manager.set_variable_groups([(0, 2)])  # not adjacent
-
-
-def test_order_persistence_round_trip(manager):
-    functions = _random_functions(manager, 8, 8, seed=5)
-    tables = [brute_force(f, tuple(range(8))) for f in functions]
-    manager.reorder()
-    saved = manager.var_order()
-    manager.set_var_order(tuple(range(8)))
-    assert manager.var_order() == tuple(range(8))
-    manager.set_var_order(saved)
-    assert manager.var_order() == saved
-    for function, table in zip(functions, tables):
-        assert brute_force(function, tuple(range(8))) == table
-    with pytest.raises(BDDError):
-        manager.set_var_order((0, 1))  # not a permutation of all variables
-
-
-def test_auto_reorder_threshold_triggers_and_doubles(manager):
-    auto = BDDManager(auto_reorder_threshold=64)
-    functions = _random_functions(auto, 10, 12, seed=9)
-    tables = [brute_force(f, tuple(range(10))) for f in functions]
-    stats = auto.stats()
-    assert stats.reorder_runs >= 1
-    assert auto.auto_reorder_threshold > 64
-    for function, table in zip(functions, tables):
-        assert brute_force(function, tuple(range(10))) == table
-
-
-def test_operations_stay_correct_after_reorder(manager):
-    functions = _random_functions(manager, 6, 4, seed=21)
-    manager.reorder()
-    a, b = functions[0], functions[1]
-    assert brute_force(a & b, tuple(range(6))) == (
-        brute_force(a, tuple(range(6))) & brute_force(b, tuple(range(6)))
-    )
-    quantified = a.exists([2, 3])
-    for values in product([False, True], repeat=6):
-        assignment = dict(enumerate(values))
-        expected = any(
-            a.evaluate({**assignment, 2: x, 3: y})
-            for x in (False, True)
-            for y in (False, True)
-        )
-        assert quantified.evaluate(assignment) == expected
 
 
 # ---------------------------------------------------------------------------

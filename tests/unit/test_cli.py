@@ -146,6 +146,15 @@ def test_profile_emits_json_with_phases_and_bdd_stats(capsys):
     assert any(name.startswith("check property ") for name in phase_names)
     assert all(phase["seconds"] >= 0 for phase in payload["phases"])
     bdd = payload["bdd"]
+    assert set(bdd) == {
+        "live_nodes",
+        "peak_live_nodes",
+        "num_vars",
+        "external_references",
+        "gc_runs",
+        "gc_reclaimed",
+        "caches",
+    }
     assert bdd["peak_live_nodes"] >= bdd["live_nodes"] > 0
     assert set(bdd["caches"]) == {"ite", "exists", "relprod", "rename", "restrict", "permute"}
 

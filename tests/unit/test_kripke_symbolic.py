@@ -74,7 +74,7 @@ def test_constrained_preimage_equals_intersected_preimage(branching_structure):
 
 
 def test_shared_manager_preserves_existing_sifting_groups():
-    """A second encoding on a shared manager must not dissolve the first's pairs."""
+    """Two encodings share one manager and both keep their current→next renames."""
     from repro.bdd import BDDManager
 
     manager = BDDManager()
@@ -94,14 +94,8 @@ def test_shared_manager_preserves_existing_sifting_groups():
         manager.cube({0: False}),
         {},
     )
-    groups = set(manager.variable_groups())
-    assert {(0, 1), (2, 3), (4, 5)} <= groups
-    manager.reorder()
-    order = manager.var_order()
-    for current, nxt in ((0, 1), (2, 3), (4, 5)):
-        assert order.index(nxt) == order.index(current) + 1
-    # Both encodings' current→next renames keep working after the reorder
-    # (a split pair would raise BDDError inside preimage).
+    # A rename that is not order-preserving would raise BDDError inside
+    # preimage.
     wide_pre = wide.preimage(wide.domain)
     narrow_pre = narrow.preimage(narrow.domain)
     assert manager.apply_and(wide_pre, manager.negate(wide.domain)) == 0
@@ -152,13 +146,13 @@ def test_family_encoding_layout_and_roundtrip():
     encoding = ProcessFamilyEncoding(manager, (1, 2, 3), ("N", "D", "T", "C"))
     assert encoding.bits_per_process == 2
     assert encoding.num_bits == 6
-    assert encoding.current_levels == tuple(2 * k for k in range(6))
+    assert encoding.current_vars == tuple(2 * k for k in range(6))
     assignment = {1: "T", 2: "N", 3: "D"}
     model = encoding.encode(assignment)
     assert encoding.decode(model) == assignment
     cube = encoding.state_cube(assignment)
     assert manager.evaluate(cube, model)
-    assert manager.sat_count(cube, encoding.current_levels) == 1
+    assert manager.sat_count(cube, encoding.current_vars) == 1
 
 
 def test_family_encoding_unchanged_and_frame():
@@ -271,33 +265,6 @@ def test_symbolic_ring_state_counts_via_satisfy_count():
 def test_symbolic_ring_rejects_empty_ring():
     with pytest.raises(StructureError):
         token_ring.symbolic_token_ring(0)
-
-
-def test_symbolic_ring_survives_reorder():
-    """Sifting the ring encoding must not change any engine-visible answer.
-
-    The current/next pairs are registered as sifting groups, so the c2n/n2c
-    renames stay order-preserving and image computation keeps working after
-    the variable order changes.
-    """
-    from repro.mc.symbolic import SymbolicCTLModelChecker
-
-    symbolic = token_ring.symbolic_token_ring(4)
-    explicit = token_ring.build_token_ring(4)
-    checker = SymbolicCTLModelChecker(symbolic)
-    family = {**token_ring.ring_properties(), **token_ring.ring_invariants()}
-    before = checker.check_batch(family)
-    symbolic.manager.reorder()
-    order = symbolic.manager.var_order()
-    for bit in range(symbolic.num_bits):
-        assert order.index(2 * bit + 1) == order.index(2 * bit) + 1
-    # Old memoised answers still decode; a fresh checker recomputes the same.
-    assert checker.check_batch(family) == before
-    fresh = SymbolicCTLModelChecker(symbolic)
-    assert fresh.check_batch(family) == before
-    assert symbolic.states_of(symbolic.domain) == explicit.states
-    assert symbolic.num_states == explicit.num_states
-    assert symbolic.num_transitions == explicit.num_transitions
 
 
 def test_states_of_requires_decoder():
