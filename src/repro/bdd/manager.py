@@ -1095,7 +1095,6 @@ class BDDManager:
         # GC is rare by construction, so event-time telemetry is cheap here.
         _metrics.counter("bdd.gc.runs").inc()
         _metrics.counter("bdd.gc.reclaimed").inc(freed)
-        _metrics.gauge("bdd.nodes.peak").set_max(self._peak)
         _obs_event("bdd.gc", reclaimed=freed, live=self._live)
         _checkpoint("bdd.collect", bdd_nodes=self._live)
         if _sanitize.MODE:
@@ -1127,6 +1126,7 @@ class BDDManager:
         gauge("bdd.live_nodes", **labels).set(stats.live_nodes)
         gauge("bdd.peak_live_nodes", **labels).set(stats.peak_live_nodes)
         gauge("bdd.num_vars", **labels).set(stats.num_vars)
+        gauge("bdd.external_references", **labels).set(stats.external_references)
         gauge("bdd.gc_runs", **labels).set(stats.gc_runs)
         gauge("bdd.gc_reclaimed", **labels).set(stats.gc_reclaimed)
         for cache in stats.caches:

@@ -47,8 +47,8 @@ Chrome/Perfetto trace-event JSON of the run's nested spans (load it at
 ``ui.perfetto.dev``), ``--metrics FILE`` dumps the metrics registry as JSONL
 (one labeled series per line), ``--progress`` prints rate-limited heartbeat
 lines from the engines' outer loops, and ``--profile`` emits exactly one
-JSON document on stderr summarising phases, engine statistics, and the
-metrics snapshot.  For ``--engine portfolio`` the trace and metrics include
+JSON document on stderr: the phase timings plus the same registry snapshot
+``--metrics`` writes.  For ``--engine portfolio`` the trace and metrics include
 the raced workers' own telemetry (one Perfetto lane per engine,
 ``worker=<engine>``-labelled metric rows); analyse the artifacts offline
 with the ``repro-obs`` console script (``repro-obs report``,
@@ -68,6 +68,9 @@ __all__ = ["main", "build_parser"]
 
 #: The system families the CLI can check, in presentation order.
 SYSTEM_NAMES = ("ring", "mutex", "counter")
+
+#: The ``schema`` of every ``--profile`` document (single checks and experiments).
+PROFILE_SCHEMA = "repro.profile/v3"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,11 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "emit a JSON profile to stderr: per-phase wall times (build, each "
-            "check) plus, for the bdd engine, live/peak node counts, cache "
-            "hit/miss/evict statistics, and GC activity; for the "
-            "SAT engines, solver statistics (conflicts, decisions, "
-            "propagations, learned/subsumed clauses) and, for ic3, the "
-            "frame/obligation/generalization counters"
+            "check) plus the metrics registry snapshot, which holds the "
+            "engines' counters (bdd.* node/cache/GC gauges, sat.* solver "
+            "statistics, ic3.* frame/obligation counters)"
         ),
     )
     parser.add_argument(
@@ -480,7 +481,7 @@ def _run_check(
         from repro.obs.metrics import REGISTRY
 
         payload = {
-            "schema": "repro.profile/v2",
+            "schema": PROFILE_SCHEMA,
             "mode": "check",
             "engine": engine,
             "system": system,
@@ -492,18 +493,12 @@ def _run_check(
         }
         if engine == "portfolio":
             payload["portfolio"] = dict(checker.last_outcomes)
-        if engine == "bdd" or engine in SAT_ENGINES:
-            payload["bdd"] = structure.manager.stats().as_dict()
-        if engine in SAT_ENGINES:
-            payload["sat"] = checker.stats()
-            if engine == "bmc":
-                payload["bound"] = checker.bound
-            else:
-                payload["max_frames"] = checker.max_frames
-                if checker.certificate is not None:
-                    payload["certificate_clauses"] = (
-                        checker.certificate.num_clauses
-                    )
+        if engine == "bmc":
+            payload["bound"] = checker.bound
+        elif engine == "ic3":
+            payload["max_frames"] = checker.max_frames
+            if checker.certificate is not None:
+                payload["certificate_clauses"] = checker.certificate.num_clauses
         print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
     return all_hold
 
@@ -571,7 +566,7 @@ def _run_experiments(engine: str, quick: bool, out, profile: bool = False) -> bo
         from repro.obs.metrics import REGISTRY
 
         payload = {
-            "schema": "repro.profile/v2",
+            "schema": PROFILE_SCHEMA,
             "mode": "experiments",
             "engine": engine,
             "quick": quick,

@@ -375,18 +375,22 @@ class BoundedModelChecker:
         if formula in self._verdicts:
             self.last_detail = "memoised verdict"
             return self._verdicts[formula]
-        with _obs_span("mc.check", engine="bmc"):
-            verdict = self._decide(self._instantiate(formula))
+        try:
+            with _obs_span("mc.check", engine="bmc"):
+                verdict = self._decide(self._instantiate(formula))
+        finally:
+            # Every exit path, so an inconclusive or cancelled check counts.
+            self.publish_metrics()
         _metrics.counter("mc.checks", engine="bmc").inc()
         self._verdicts[formula] = verdict
-        self.publish_metrics()
         return verdict
 
     def publish_metrics(self) -> None:
-        """Snapshot the aggregated solver statistics into the registry."""
+        """Snapshot the solver statistics and the encoding's manager into the registry."""
         for field, value in self.stats().items():
             if isinstance(value, int):
                 _metrics.gauge("sat." + field, engine="bmc").set(value)
+        self._symbolic.manager.publish_metrics(engine="bmc")
 
     def invariant_counterexample(
         self, invariant: Formula, bound: Optional[int] = None

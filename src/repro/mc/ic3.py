@@ -782,12 +782,13 @@ class IC3ModelChecker:
         return payload
 
     def publish_metrics(self, **labels: object) -> None:
-        """Snapshot the accumulated SAT/IC3 counters into the metrics registry."""
+        """Snapshot the SAT/IC3 counters and the encoding's manager into the registry."""
         labels.setdefault("engine", "ic3")
         for field, value in self._solver_stats.as_dict().items():
             _metrics.gauge("sat." + field, **labels).set(value)
         for field, value in self._counters.as_dict().items():
             _metrics.gauge("ic3." + field, **labels).set(value)
+        self._symbolic.manager.publish_metrics(**labels)
 
     # -- public API ----------------------------------------------------------
 
@@ -808,11 +809,14 @@ class IC3ModelChecker:
         if formula in self._verdicts:
             self.last_detail = "memoised verdict"
             return self._verdicts[formula]
-        with _obs_span("mc.check", engine="ic3") as sp:
-            verdict = self._decide(self._front._instantiate(formula))
-            sp.set(verdict=verdict)
+        try:
+            with _obs_span("mc.check", engine="ic3") as sp:
+                verdict = self._decide(self._front._instantiate(formula))
+                sp.set(verdict=verdict)
+        finally:
+            # Every exit path, so an inconclusive or cancelled check counts.
+            self.publish_metrics()
         _metrics.counter("mc.checks", engine="ic3").inc()
-        self.publish_metrics()
         self._verdicts[formula] = verdict
         return verdict
 

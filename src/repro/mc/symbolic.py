@@ -186,15 +186,18 @@ class SymbolicCTLModelChecker:
 
     def check(self, formula: Formula, state: Optional[State] = None) -> bool:
         """Decide ``M, state ⊨ formula`` (default state: the initial state)."""
-        with _span("mc.check", engine="bdd"):
-            node = self.satisfaction_node(formula)
-            if state is None:
-                manager = self._symbolic.manager
-                verdict = manager.apply_and(node, self._symbolic.initial) != 0
-            else:
-                verdict = self._symbolic.holds_at(node, state)
+        manager = self._symbolic.manager
+        try:
+            with _span("mc.check", engine="bdd"):
+                node = self.satisfaction_node(formula)
+                if state is None:
+                    verdict = manager.apply_and(node, self._symbolic.initial) != 0
+                else:
+                    verdict = self._symbolic.holds_at(node, state)
+        finally:
+            # Every exit path, so a check stopped by its budget counts.
+            manager.publish_metrics(engine="bdd")
         _metrics.counter("mc.checks", engine="bdd").inc()
-        self._symbolic.manager.publish_metrics(engine="bdd")
         return verdict
 
     def check_batch(

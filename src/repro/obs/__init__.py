@@ -18,10 +18,9 @@ all six engines (``bitset``, ``naive``, ``bdd``, ``bmc``, ``ic3``,
     loops).
 
 ``repro.obs.sinks``
-    Pluggable span exporters: JSONL event streams, Chrome/Perfetto
-    trace-event JSON (loadable in ``chrome://tracing`` or
-    https://ui.perfetto.dev), human-readable stderr summary tables, and
-    an in-memory sink for tests.
+    The span exporter ``--trace`` uses, Chrome/Perfetto trace-event JSON
+    (loadable in ``chrome://tracing`` or https://ui.perfetto.dev), an
+    in-memory sink for tests, and the ``--metrics`` JSONL writer.
 
 ``repro.obs.progress``
     A rate-limited heartbeat reporter for long-running checks
@@ -39,7 +38,7 @@ all six engines (``bitset``, ``naive``, ``bdd``, ``bmc``, ``ic3``,
 ``repro.obs.analyze``
     Offline trace analysis (the ``repro-obs`` console script): aggregate
     tables, critical path, portfolio loser autopsy, and run-vs-run diffs
-    over trace JSONL / Perfetto documents.
+    over the Perfetto documents ``--trace`` writes.
 
 Naming conventions, sink formats, and a guided tour of an IC3 trace
 live in ``docs/OBSERVABILITY.md``.  The package is dependency-free
@@ -71,11 +70,7 @@ from repro.obs.collect import (
 )
 from repro.obs.sinks import (
     ChromeTraceSink,
-    JsonlSink,
     MemorySink,
-    PerfettoSink,
-    Sink,
-    SummarySink,
     write_metrics_jsonl,
 )
 from repro.obs.trace import (
@@ -118,11 +113,7 @@ __all__ = [
     "histogram",
     # sinks
     "ChromeTraceSink",
-    "JsonlSink",
     "MemorySink",
-    "PerfettoSink",
-    "Sink",
-    "SummarySink",
     "write_metrics_jsonl",
     # collect
     "TelemetryCollector",

@@ -1,9 +1,8 @@
 """Offline trace analysis: the ``repro-obs`` console script.
 
-Loads the artifacts the tracing layer writes — span JSONL streams
-(:class:`~repro.obs.sinks.JsonlSink`), Chrome/Perfetto trace documents
-(:class:`~repro.obs.sinks.PerfettoSink`) — and answers the questions a
-profiling session actually asks:
+Loads the one trace format ``--trace`` writes — the Chrome/Perfetto
+trace-event document of :class:`~repro.obs.sinks.ChromeTraceSink` — and
+answers the questions a profiling session actually asks:
 
 ``repro-obs report TRACE``
     Where did the time go?  Per-span-name aggregates (count, total,
@@ -28,13 +27,12 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "SpanNode",
     "TraceDocument",
     "load_trace",
-    "load_artifact",
     "aggregate",
     "critical_path",
     "portfolio_autopsy",
@@ -147,12 +145,9 @@ def _lane_from_process_name(name: Any) -> Optional[str]:
 
 
 def _load_perfetto(document: Dict[str, Any]) -> TraceDocument:
-    events = document.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError("not a trace-event document (no traceEvents list)")
     lanes: Dict[int, Optional[str]] = {}
     raw: List[Dict[str, Any]] = []
-    for entry in events:
+    for entry in document["traceEvents"]:
         if not isinstance(entry, dict):
             continue
         phase = entry.get("ph")
@@ -211,52 +206,21 @@ def _infer_containment(nodes: List[SpanNode]) -> None:
             stack.append(node)
 
 
-def _load_jsonl(lines: List[str]) -> TraceDocument:
-    nodes: List[SpanNode] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        if not isinstance(row, dict) or row.get("kind") != "span":
-            continue
-        nodes.append(
-            SpanNode(
-                span_id=row["span_id"],
-                parent_id=row.get("parent_id"),
-                name=row["name"],
-                start_ns=row["start_ns"],
-                end_ns=row["end_ns"],
-                pid=row.get("pid"),
-                lane=row.get("lane") or (row.get("attrs") or {}).get("worker"),
-                status=row.get("status", "ok"),
-                attrs=dict(row.get("attrs") or {}),
-            )
-        )
-    return TraceDocument(nodes)
-
-
 def load_trace(path: str) -> TraceDocument:
-    """Load a trace file, sniffing Perfetto-document vs JSONL layout."""
-    with open(path) as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"traceEvents"' in text:
-        return _load_perfetto(json.loads(text))
-    return _load_jsonl(text.splitlines())
+    """Load the Perfetto trace-event document ``--trace`` writes.
 
-
-def load_artifact(path: str) -> Tuple[str, Any]:
-    """Load ``path`` as ``("trace", TraceDocument)``; reject other JSON."""
+    Anything else (a ``--metrics`` JSONL file, a benchmark result, other
+    JSON) raises :class:`ValueError`, so ``report`` and ``diff`` reject
+    the same inputs.
+    """
     with open(path) as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        document = json.loads(text)
-        if "traceEvents" in document:
-            return ("trace", _load_perfetto(document))
+        try:
+            document = json.load(handle)
+        except ValueError:
+            document = None
+    if not isinstance(document, dict) or not isinstance(document.get("traceEvents"), list):
         raise ValueError("%s: unrecognised JSON artifact" % path)
-    return ("trace", _load_jsonl(text.splitlines()))
+    return _load_perfetto(document)
 
 
 # -- analyses ---------------------------------------------------------------
@@ -489,16 +453,16 @@ def _report_payload(doc: TraceDocument, top: int) -> Dict[str, Any]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-obs",
-        description="Analyse repro trace files (JSONL or Perfetto).",
+        description="Analyse repro trace files (the Perfetto documents --trace writes).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser("report", help="aggregates, critical path, autopsy")
-    report.add_argument("trace", help="trace file (--trace output, JSONL or Perfetto)")
+    report.add_argument("trace", help="trace file (--trace output)")
     report.add_argument("--top", type=int, default=15, help="aggregate rows shown")
     report.add_argument("--json", action="store_true", help="machine-readable output")
     diff = sub.add_parser("diff", help="compare two traces")
-    diff.add_argument("a", help="baseline artifact")
-    diff.add_argument("b", help="candidate artifact")
+    diff.add_argument("a", help="baseline trace")
+    diff.add_argument("b", help="candidate trace")
     diff.add_argument("--top", type=int, default=15, help="rows shown")
     diff.add_argument("--json", action="store_true", help="machine-readable output")
     args = parser.parse_args(argv)
@@ -506,7 +470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_diff(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as error:
+    except (OSError, ValueError, KeyError) as error:
         print("repro-obs: %s" % error, file=sys.stderr)
         return 2
 
@@ -522,9 +486,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    _, a = load_artifact(args.a)
-    _, b = load_artifact(args.b)
-    rows = diff_traces(a, b)[: args.top]
+    rows = diff_traces(load_trace(args.a), load_trace(args.b))[: args.top]
     if args.json:
         json.dump({"kind": "trace", "rows": rows}, sys.stdout, indent=2, sort_keys=True)
         print()

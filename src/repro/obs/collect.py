@@ -170,7 +170,7 @@ class RemoteSpanRecord:
         return self.duration_ns / 1e9
 
     def as_dict(self) -> Dict[str, Any]:
-        """The JSONL view — a superset of the local span record's."""
+        """The wire-format view — a superset of the local span record's."""
         return {
             "kind": "span",
             "span_id": self.span_id,

@@ -15,7 +15,7 @@ Three instrument kinds, each keyed by name plus a frozen label set
 
 :class:`Gauge`
     Last-observed value.  The right kind for snapshotting an engine's
-    cumulative internal totals (``sat.conflicts``, ``bdd.nodes.peak``):
+    cumulative internal totals (``sat.conflicts``, ``bdd.peak_live_nodes``):
     re-publishing is idempotent.
 
 :class:`Histogram`
@@ -92,11 +92,6 @@ class Gauge:
 
     def set(self, value: Any) -> None:
         self.value = value
-
-    def set_max(self, value: Any) -> None:
-        """Keep the running maximum (for peak-style gauges)."""
-        if value > self.value:
-            self.value = value
 
     def snapshot(self) -> Any:
         return self.value

@@ -1,35 +1,24 @@
-"""Span/metric exporters: JSONL, Chrome/Perfetto trace JSON, summaries.
+"""Span/metric exporters: the Perfetto trace document and the metrics JSONL.
 
 Sinks attach to a :class:`repro.obs.trace.Tracer` and receive each span
 as it finishes (``on_span``) and each instant event as it fires
-(``on_event``); ``close()`` flushes whatever the format buffers.  All
-sinks accept either a filesystem path or an open file-like object —
-paths are opened lazily and closed by ``close()``, caller-owned streams
-are left open.
+(``on_event``); ``close()`` flushes whatever the format buffers.
 
-Formats:
-
-:class:`JsonlSink`
-    One JSON object per line, in completion order — the append-friendly
-    event stream (``{"kind": "span", "name": ..., "dur_ns": ...}``).
-
-:class:`ChromeTraceSink` (alias :data:`PerfettoSink`)
-    The Chrome trace-event format (a ``{"traceEvents": [...]}`` JSON
-    document with complete ``"ph": "X"`` events in microseconds),
-    loadable in ``chrome://tracing`` and https://ui.perfetto.dev.
-    Records that carry a ``pid``/``lane`` (re-parented worker spans from
+:class:`ChromeTraceSink`
+    The one trace format ``--trace`` writes and ``repro-obs`` reads: a
+    Chrome trace-event document (``{"traceEvents": [...]}`` with
+    complete ``"ph": "X"`` events in microseconds), loadable in
+    ``chrome://tracing`` and https://ui.perfetto.dev.  Records that
+    carry a ``pid``/``lane`` (re-parented worker spans from
     :mod:`repro.obs.collect`) land on their own process track, labelled
     with the engine name via metadata events, so a portfolio race renders
     as one coherent multi-process timeline.  ``docs/OBSERVABILITY.md``
     walks through reading an IC3 trace and a portfolio race.
 
-:class:`SummarySink`
-    Human-readable per-span-name aggregate table (count, total, mean,
-    max), printed on ``close()`` — the ``--progress``-adjacent "where
-    did the time go" view on stderr.
-
 :class:`MemorySink`
     Plain lists, for tests.
+
+:func:`write_metrics_jsonl` writes the registry as the ``--metrics`` file.
 """
 
 from __future__ import annotations
@@ -39,30 +28,13 @@ import os
 from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
-    "Sink",
     "MemorySink",
-    "JsonlSink",
     "ChromeTraceSink",
-    "PerfettoSink",
-    "SummarySink",
     "write_metrics_jsonl",
 ]
 
 
-class Sink:
-    """Base class: a sink may implement any subset of the callbacks."""
-
-    def on_span(self, record) -> None:  # pragma: no cover - interface
-        pass
-
-    def on_event(self, record) -> None:  # pragma: no cover - interface
-        pass
-
-    def close(self) -> None:  # pragma: no cover - interface
-        pass
-
-
-class MemorySink(Sink):
+class MemorySink:
     """Collects records in memory (tests and programmatic consumers)."""
 
     def __init__(self) -> None:
@@ -80,40 +52,7 @@ class MemorySink(Sink):
         self.closed = True
 
 
-class _FileBacked(Sink):
-    """Shared path-or-stream plumbing for the file-writing sinks."""
-
-    def __init__(self, target: Union[str, "os.PathLike", Any]):
-        self._target = target
-        self._handle = None
-        self._owns_handle = False
-
-    def _file(self):
-        if self._handle is None:
-            if hasattr(self._target, "write"):
-                self._handle = self._target
-            else:
-                self._handle = open(os.fspath(self._target), "w")
-                self._owns_handle = True
-        return self._handle
-
-    def close(self) -> None:
-        if self._handle is not None and self._owns_handle:
-            self._handle.close()
-        self._handle = None
-
-
-class JsonlSink(_FileBacked):
-    """One JSON object per line: spans and events in completion order."""
-
-    def on_span(self, record) -> None:
-        self._file().write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-
-    def on_event(self, record) -> None:
-        self._file().write(json.dumps(record, sort_keys=True) + "\n")
-
-
-class ChromeTraceSink(_FileBacked):
+class ChromeTraceSink:
     """Chrome/Perfetto trace-event JSON (written as one document on close).
 
     Spans become complete events (``"ph": "X"``) with microsecond
@@ -133,8 +72,10 @@ class ChromeTraceSink(_FileBacked):
     ``coordinator`` and sorts first.
     """
 
-    def __init__(self, target):
-        super().__init__(target)
+    def __init__(self, target: Union[str, "os.PathLike", Any]):
+        # A path is opened on close() and closed again; a caller-owned
+        # stream is written to and left open.
+        self._target = target
         self._trace_events: List[Dict[str, Any]] = []
         #: pid -> lane label (None until a labelled record names it).
         self._lanes: Dict[int, Optional[str]] = {}
@@ -225,60 +166,12 @@ class ChromeTraceSink(_FileBacked):
             "traceEvents": self._metadata_events() + self._trace_events,
             "displayTimeUnit": "ms",
         }
-        json.dump(document, self._file())
-        self._file().write("\n")
-        super().close()
-
-
-#: The honest name: the documents this sink writes are opened in Perfetto.
-PerfettoSink = ChromeTraceSink
-
-
-class SummarySink(Sink):
-    """Aggregates spans per name; prints a table on ``close()``."""
-
-    def __init__(self, stream=None):
-        self._stream = stream
-        self._rows: Dict[str, List[float]] = {}
-
-    def on_span(self, record) -> None:
-        row = self._rows.get(record.name)
-        if row is None:
-            # [count, total_ns, max_ns]
-            self._rows[record.name] = [1, record.duration_ns, record.duration_ns]
+        text = json.dumps(document) + "\n"
+        if hasattr(self._target, "write"):
+            self._target.write(text)
         else:
-            row[0] += 1
-            row[1] += record.duration_ns
-            row[2] = max(row[2], record.duration_ns)
-
-    def format_table(self) -> str:
-        lines = [
-            "%-36s %8s %12s %12s %12s"
-            % ("span", "count", "total_ms", "mean_ms", "max_ms")
-        ]
-        for name in sorted(self._rows, key=lambda n: -self._rows[n][1]):
-            count, total_ns, max_ns = self._rows[name]
-            lines.append(
-                "%-36s %8d %12.3f %12.3f %12.3f"
-                % (
-                    name,
-                    count,
-                    total_ns / 1e6,
-                    total_ns / count / 1e6,
-                    max_ns / 1e6,
-                )
-            )
-        return "\n".join(lines)
-
-    def close(self) -> None:
-        if not self._rows:
-            return
-        stream = self._stream
-        if stream is None:
-            import sys
-
-            stream = sys.stderr
-        print(self.format_table(), file=stream)
+            with open(os.fspath(self._target), "w") as handle:
+                handle.write(text)
 
 
 def _json_clean(value):

@@ -142,7 +142,7 @@ class SpanRecord:
         return False  # never swallow the exception
 
     def as_dict(self) -> Dict[str, Any]:
-        """A plain JSON-serialisable view (used by the JSONL sink).
+        """The worker telemetry wire format: a plain JSON-serialisable view.
 
         ``pid`` is resolved at call time, not at span creation — a span
         record serialised after a ``fork()`` must carry the process that

@@ -131,14 +131,7 @@ def run_engine_check(
 
     if engine in SAT_ENGINES:
         checker = make_ctl_checker(structure, engine=engine, bound=bound)
-        try:
-            verdict = checker.check(formula)
-        finally:
-            # Publish on every exit path: a cancelled loser's partial
-            # solver statistics (sat.* gauges) still reach the registry
-            # snapshot the worker's telemetry exporter ships after each
-            # formula — the data the supervisor merges under worker=<engine>.
-            checker.publish_metrics()
+        verdict = checker.check(formula)
         detail = checker.last_detail
     elif engine == "bdd" and isinstance(structure, SymbolicKripkeStructure):
         # A direct symbolic encoding has no explicit state graph to hand

@@ -1038,15 +1038,6 @@ class Solver(ClauseSink):
                 _sanitize.maybe_check_solver(self)
             return self._ok
 
-    def publish_metrics(self, **labels) -> None:
-        """Snapshot the cumulative :class:`SolverStats` into the registry.
-
-        Published as gauges (idempotent at every phase boundary); see
-        ``docs/OBSERVABILITY.md`` for the counter-vs-gauge convention.
-        """
-        for field, value in self.stats.as_dict().items():
-            _metrics.gauge("sat." + field, **labels).set(value)
-
     def _simplify_top_level(self) -> None:
         """Drop satisfied clauses and strip level-0-false literals in place.
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import PROFILE_SCHEMA, build_parser, main
 
 
 def test_parser_defaults():
@@ -145,18 +145,18 @@ def test_profile_emits_json_with_phases_and_bdd_stats(capsys):
     assert phase_names[0] == "build"
     assert any(name.startswith("check property ") for name in phase_names)
     assert all(phase["seconds"] >= 0 for phase in payload["phases"])
-    bdd = payload["bdd"]
-    assert set(bdd) == {
-        "live_nodes",
-        "peak_live_nodes",
-        "num_vars",
-        "external_references",
-        "gc_runs",
-        "gc_reclaimed",
-        "caches",
+    assert payload["schema"] == PROFILE_SCHEMA == "repro.profile/v3"
+    # The manager's counters live in the registry snapshot only.
+    assert "bdd" not in payload
+    metrics = payload["metrics"]
+    for field in ("num_vars", "external_references", "gc_runs", "gc_reclaimed"):
+        assert "bdd.%s{engine=bdd}" % field in metrics
+    live = metrics["bdd.live_nodes{engine=bdd}"]
+    assert metrics["bdd.peak_live_nodes{engine=bdd}"] >= live > 0
+    assert {key for key in metrics if key.startswith("bdd.cache.hits{")} == {
+        "bdd.cache.hits{cache=%s,engine=bdd}" % cache
+        for cache in ("ite", "exists", "relprod", "rename", "restrict", "permute")
     }
-    assert bdd["peak_live_nodes"] >= bdd["live_nodes"] > 0
-    assert set(bdd["caches"]) == {"ite", "exists", "relprod", "rename", "restrict", "permute"}
 
 
 def test_profile_on_explicit_engine_has_no_bdd_section(capsys):
@@ -167,7 +167,7 @@ def test_profile_on_explicit_engine_has_no_bdd_section(capsys):
     assert exit_code == 0
     payload = json.loads(captured.err)
     assert payload["engine"] == "bitset"
-    assert "bdd" not in payload
+    assert not any(key.startswith("bdd.") for key in payload["metrics"])
     assert payload["total_seconds"] >= 0
 
 
@@ -178,7 +178,7 @@ def test_profile_with_experiments_emits_one_json_document(capsys):
     captured = capsys.readouterr()
     assert exit_code == 0
     payload = json.loads(captured.err)  # exactly one valid JSON doc on stderr
-    assert payload["schema"] == "repro.profile/v2"
+    assert payload["schema"] == "repro.profile/v3"
     assert payload["mode"] == "experiments"
     assert payload["engine"] == "bitset"
     assert set(payload["experiments"]) == {
@@ -260,11 +260,13 @@ def test_bmc_profile_reports_sat_statistics(capsys):
     payload = json.loads(captured.err)
     assert payload["engine"] == "bmc"
     assert payload["bound"] == 5
-    sat = payload["sat"]
-    assert sat["solve_calls"] > 0
-    assert set(sat) >= {"conflicts", "decisions", "propagations", "learned_clauses"}
+    assert "sat" not in payload
+    metrics = payload["metrics"]
+    assert metrics["sat.solve_calls{engine=bmc}"] > 0
+    for field in ("conflicts", "decisions", "propagations", "learned_clauses"):
+        assert "sat.%s{engine=bmc}" % field in metrics
     # The BDD manager that owns the unrolled encoding is reported alongside.
-    assert payload["bdd"]["live_nodes"] > 0
+    assert metrics["bdd.live_nodes{engine=bmc}"] > 0
 
 
 def test_ic3_profile_reports_frame_counters(capsys):
@@ -279,12 +281,12 @@ def test_ic3_profile_reports_frame_counters(capsys):
     assert payload["engine"] == "ic3"
     assert payload["max_frames"] >= 1
     assert payload["certificate_clauses"] >= 1
-    sat = payload["sat"]
-    assert sat["solve_calls"] > 0
-    assert sat["frames"] >= 1
-    assert sat["relative_queries"] > 0
-    assert sat["obligations"] >= 0
-    assert sat["generalization_queries"] >= 0
+    metrics = payload["metrics"]
+    assert metrics["sat.solve_calls{engine=ic3}"] > 0
+    assert metrics["ic3.frames{engine=ic3}"] >= 1
+    assert metrics["ic3.relative_queries{engine=ic3}"] > 0
+    assert metrics["ic3.obligations{engine=ic3}"] >= 0
+    assert metrics["ic3.generalization_queries{engine=ic3}"] >= 0
 
 
 def test_bound_requires_sat_engine(capsys):
@@ -423,7 +425,7 @@ def test_progress_with_profile_keeps_stderr_pure_json(capsys):
     captured = capsys.readouterr()
     assert exit_code == 0
     payload = json.loads(captured.err)  # heartbeats went to stdout instead
-    assert payload["schema"] == "repro.profile/v2"
+    assert payload["schema"] == "repro.profile/v3"
     assert payload["metrics"]
 
 

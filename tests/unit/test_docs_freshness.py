@@ -162,6 +162,10 @@ def test_observability_doc_names_the_cli_flags_and_span_vocabulary():
     # percentile columns, and the offline analysis entry point.
     for term in ("worker=", "p50", "p90", "p99", "repro-obs", "coordinator"):
         assert term in text, "%r is undocumented" % term
+    # The --profile document's schema, as the CLI stamps it.
+    from repro.cli import PROFILE_SCHEMA
+
+    assert PROFILE_SCHEMA in text, "profile schema %r is undocumented" % PROFILE_SCHEMA
 
 
 def test_resilience_doc_names_the_cli_flags_and_chaos_knobs():

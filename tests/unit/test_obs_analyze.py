@@ -1,7 +1,7 @@
 """Unit tests for the ``repro-obs`` trace-analysis toolkit (repro.obs.analyze).
 
-Builds small synthetic artifacts in both on-disk layouts the tracing
-layer writes (Perfetto trace-event documents and span JSONL) and pins
+Builds small synthetic Perfetto trace-event documents (the one on-disk
+layout ``--trace`` writes) and pins
 the analyses the CLI renders: per-name aggregates, the critical path,
 the portfolio loser autopsy, and trace diffing — plus the
 ``main()`` exit-code contract (0 on success, 2 on unusable input).
@@ -18,7 +18,6 @@ from repro.obs.analyze import (
     aggregate,
     critical_path,
     diff_traces,
-    load_artifact,
     load_trace,
     main,
     portfolio_autopsy,
@@ -117,39 +116,6 @@ def test_load_perfetto_links_the_tree_and_lane_labels(race_trace):
     assert "span_id" not in solve.attrs and "parent_id" not in solve.attrs
 
 
-def test_load_jsonl_reads_span_rows_and_worker_attrs(tmp_path):
-    rows = [
-        {
-            "kind": "span",
-            "span_id": 1,
-            "parent_id": None,
-            "name": "mc.check",
-            "start_ns": 0,
-            "end_ns": 100,
-            "pid": 9,
-            "attrs": {"worker": "bmc"},
-        },
-        {"kind": "event", "name": "bdd.gc", "ts_ns": 5, "attrs": {}},
-        {
-            "kind": "span",
-            "span_id": 2,
-            "parent_id": 1,
-            "name": "sat.solve",
-            "start_ns": 10,
-            "end_ns": 60,
-            "status": "ok",
-            "attrs": {},
-        },
-    ]
-    path = tmp_path / "trace.jsonl"
-    path.write_text("\n".join(json.dumps(row) for row in rows) + "\n")
-    doc = load_trace(str(path))
-    assert [s.name for s in doc.spans] == ["mc.check", "sat.solve"]
-    [root] = doc.roots
-    assert root.lane == "bmc"  # backfilled from the worker attribute
-    assert [c.name for c in root.children] == ["sat.solve"]
-
-
 def test_load_perfetto_infers_containment_for_foreign_traces(tmp_path):
     # A trace from another tool: no span_id args, nesting only implied
     # by interval containment (per process).
@@ -174,14 +140,12 @@ def test_load_artifact_sniffs_bench_vs_trace(tmp_path, race_trace):
     bench = tmp_path / "BENCH_a.json"
     bench.write_text(json.dumps({"benchmarks": []}))
     with pytest.raises(ValueError, match="unrecognised JSON artifact"):
-        load_artifact(str(bench))
-    kind, doc = load_artifact(race_trace)
-    assert kind == "trace"
-    assert isinstance(doc, TraceDocument)
+        load_trace(str(bench))
+    assert isinstance(load_trace(race_trace), TraceDocument)
     unknown = tmp_path / "other.json"
     unknown.write_text(json.dumps({"foo": 1}))
-    with pytest.raises(ValueError):
-        load_artifact(str(unknown))
+    with pytest.raises(ValueError, match="unrecognised JSON artifact"):
+        load_trace(str(unknown))
 
 
 # -- analyses ---------------------------------------------------------------
@@ -287,3 +251,21 @@ def test_main_exit_2_on_unusable_input(tmp_path, race_trace, capsys):
     bench.write_text(json.dumps({"benchmarks": []}))
     assert main(["diff", race_trace, str(bench)]) == 2  # a BENCH file is not a trace
     assert "unrecognised JSON artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "diff"])
+def test_main_exit_2_on_metrics_jsonl_and_other_json(tmp_path, race_trace, command, capsys):
+    metrics = tmp_path / "m.jsonl"
+    metrics.write_text(
+        "\n".join(
+            json.dumps({"kind": "counter", "name": name, "labels": {}, "value": 1})
+            for name in ("mc.checks", "bdd.gc.runs")
+        )
+        + "\n"
+    )
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"foo": 1}))
+    for path in (metrics, other):
+        argv = [command, str(path)] + ([race_trace] if command == "diff" else [])
+        assert main(argv) == 2
+        assert "unrecognised" in capsys.readouterr().err

@@ -35,9 +35,6 @@ def test_gauge_set_and_set_max():
     gauge.set(10)
     gauge.set(3)
     assert gauge.snapshot() == 3
-    gauge.set_max(7)
-    gauge.set_max(5)
-    assert gauge.snapshot() == 7
 
 
 @pytest.mark.parametrize(
