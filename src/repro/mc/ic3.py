@@ -30,6 +30,10 @@ The algorithm, in the delta-encoded formulation:
   (every state of the shrunk cube keeps a transition into ``c`` — the
   role ternary simulation plays in bit-level implementations), and two
   obligations go back on the queue;
+* on a network of identical processes with a verified rotation symmetry
+  ρ, every blocked cube's rotations ``ρ^j(c)`` are installed at the same
+  frame, so each lemma is found once per orbit, not once per process
+  (:class:`_IC3Run` says when a rotation needs its own query);
 * a predecessor overlapping ``Init`` (in particular any found in frame 0,
   whose solver carries the initial-state constraint) turns the obligation
   chain into a **counterexample**: the cube chain is re-solved as a BMC
@@ -143,6 +147,8 @@ class _Counters:
     clauses_pushed: int = 0
     cubes_subsumed: int = 0
     verification_queries: int = 0
+    rotated_lemmas: int = 0
+    rotation_queries: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -155,6 +161,8 @@ class _Counters:
             "clauses_pushed": self.clauses_pushed,
             "cubes_subsumed": self.cubes_subsumed,
             "verification_queries": self.verification_queries,
+            "rotated_lemmas": self.rotated_lemmas,
+            "rotation_queries": self.rotation_queries,
         }
 
     def accumulate(self, other: "_Counters") -> None:
@@ -167,6 +175,8 @@ class _Counters:
         self.clauses_pushed += other.clauses_pushed
         self.cubes_subsumed += other.cubes_subsumed
         self.verification_queries += other.verification_queries
+        self.rotated_lemmas += other.rotated_lemmas
+        self.rotation_queries += other.rotation_queries
 
 
 class _TransitionTemplate:
@@ -225,7 +235,40 @@ class _TransitionTemplate:
 
 
 class _IC3Run:
-    """One IC3 search for one invariant body (property-specific frames)."""
+    """One IC3 search for one invariant body (property-specific frames).
+
+    **Symmetry-seeded lemmas.**  A network of identical processes makes IC3
+    rediscover every blocking clause once per process.  When the structure's
+    process symmetry ρ is verified (``ρ(T) = T``, see
+    :meth:`~repro.kripke.symbolic.SymbolicKripkeStructure.verified_symmetry`),
+    a cube ``c`` blocked at frame ``k`` is followed by its rotations
+    ``ρ^j(c)``, ``j = 1 … n−1``, at the same frame — one cube per orbit
+    instead of one per process (Emerson & Sistla's symmetry reduction
+    applied to IC3's lemmas).  The path is decided once per run:
+
+    * ``trusted`` — ``Init`` and ``Bad`` are ρ-invariant too.  The frames
+      then stay orbit-closed by induction: ``F_0 = Init`` is closed, every block
+      installs a whole orbit, and a push pass moves ``c`` from ``F_i`` to
+      ``F_{i+1}`` exactly when it moves ``ρc`` (the push query of ``ρc`` is
+      the ρ-image of that of ``c`` over the unchanged, closed ``F_i``), so
+      every frame is closed again at the end of each level's pass.  Over a
+      closed ``F_{k−1}``, ``F_{k−1} ∧ ¬ρc ∧ T ∧ ρc′`` is the ρ-image of the
+      query that just came back UNSAT for ``c``, and ``ρc`` misses ``Init``
+      because ``c`` does — so each rotation is installed with no query.
+      Only ``Init`` enters that argument; ``Bad`` is demanded invariant as
+      well so that only fully symmetric searches skip the checks (an
+      asymmetric property such as ``AG ¬c_1`` runs ``checked``).
+    * ``checked`` — ρ is verified but ``Init`` or ``Bad`` is not invariant
+      (the token ring, whose token starts at process 1).  A rotation is
+      installed only if it misses ``Init`` and its own relative induction
+      query at frame ``k`` is UNSAT.
+    * ``off`` — no verified symmetry (no candidate, an explicit encoding,
+      or a candidate the check rejected): no rotation is offered.
+
+    Either way :meth:`_certify` re-verifies the final invariant with fresh
+    solvers, so a seeded lemma can never slip into a reported proof
+    unchecked.
+    """
 
     def __init__(
         self,
@@ -244,6 +287,7 @@ class _IC3Run:
         self.init_fn = symbolic.function(symbolic.initial)
         self.counters = _Counters()
         self.solver_stats = SolverStats()
+        self.symmetry, self.symmetry_reason, self._rotations = self._symmetry_path()
         # frames[i] holds the cubes blocked *exactly* at level i (the delta
         # encoding): F_i's clause set is the union of frames[i:], so clauses
         # accumulate downward and F_1 ⊆ F_2 ⊆ … as state sets.
@@ -266,6 +310,35 @@ class _IC3Run:
 
     def _new_frame_solver(self) -> Solver:
         return self.template.new_solver()
+
+    def _symmetry_path(self) -> Tuple[str, Optional[str], List[Tuple[int, ...]]]:
+        """``(path, reason, powers)``: how blocked cubes are seeded along their orbit.
+
+        ``powers[j-1][b]`` is the state bit ``ρ^j`` sends bit ``b`` to (state
+        bit ``b`` is BDD variable ``2b``; bits outside the process blocks,
+        such as the mutex lock, stay fixed).  ``verified_symmetry`` proves
+        ``ρ`` fixes the disjunction of the clustered transition parts, which
+        is exactly the relation :class:`_TransitionTemplate` lowers to CNF.
+        """
+        symmetry = self.symbolic.verified_symmetry()
+        if symmetry is None:
+            return "off", self.symbolic.symmetry_reason, []
+        var_map = symmetry.var_map
+        # Compared, not kept: like the symmetry check itself, this must not
+        # leave new references behind (the leak sanitizer audits that).
+        if self.init_fn.permute(var_map) != self.init_fn:
+            path, reason = "checked", "init_not_invariant"
+        elif self.bad_fn.permute(var_map) != self.bad_fn:
+            path, reason = "checked", "bad_not_invariant"
+        else:
+            path, reason = "trusted", None
+        step = [var_map.get(2 * bit, 2 * bit) // 2 for bit in range(self.num_bits)]
+        powers = []
+        power = step
+        for _ in range(len(symmetry.sigma) - 1):
+            powers.append(tuple(power))
+            power = [step[bit] for bit in power]
+        return path, reason, powers
 
     def _primed(self, literal: int) -> int:
         return literal + self.num_bits if literal > 0 else literal - self.num_bits
@@ -415,6 +488,25 @@ class _IC3Run:
             self.solvers[index].add_clause(clause)
         self.counters.cubes_blocked += 1
 
+    def _seed_rotations(self, cube: Tuple[int, ...], level: int) -> None:
+        """Install the rotations ``ρ^j(cube)`` at ``level`` (see the class docstring)."""
+        for power in self._rotations:
+            image = tuple(
+                power[literal - 1] + 1 if literal > 0 else -power[-literal - 1] - 1
+                for literal in cube
+            )
+            if self._is_blocked(image, level):
+                continue
+            if self.symmetry == "checked":
+                if self._intersects_init(image):
+                    continue
+                self.counters.rotation_queries += 1
+                blocked, _ = self._try_block(image, level)
+                if not blocked:
+                    continue
+            self._add_blocked(image, level)
+            self.counters.rotated_lemmas += 1
+
     def _open_frame(self) -> None:
         self.frames.append([])
         self.solvers.append(self._new_frame_solver())
@@ -460,7 +552,9 @@ class _IC3Run:
         Raises :class:`~repro.errors.InconclusiveError` past ``max_frames``
         (a diverging IC3 run — the safety net, not a proof parameter).
         """
-        with _obs_span("ic3.run") as sp:
+        with _obs_span("ic3.run", symmetry=self.symmetry) as sp:
+            if self.symmetry_reason is not None:
+                sp.set(symmetry_reason=self.symmetry_reason)
             if self.solvers[0].solve([self._bad_literal(0)]):
                 state = self.symbolic.decode_state(
                     {
@@ -567,6 +661,7 @@ class _IC3Run:
                         break
                     frontier += 1
                 self._add_blocked(generalized, frontier)
+                self._seed_rotations(generalized, frontier)
                 sp.set(outcome="blocked", frontier=frontier)
                 if frontier < self.top:
                     # Chase the original cube at the next frame up: it is not yet

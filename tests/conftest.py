@@ -40,6 +40,46 @@ def sanitizers():
 
 
 @pytest.fixture(scope="session")
+def ring_with_candidate():
+    """Re-declare a token-ring encoding with the process permutation ``sigma``.
+
+    Returns ``make(structure, sigma)``: a copy of the direct ring encoding
+    ``structure`` (same manager, relation, initial states and domain)
+    whose candidate symmetry moves process ``k``'s bits to process
+    ``sigma[k]``'s — for probing how checkers treat a bogus candidate.
+    """
+    from repro.kripke.structure import IndexedProp
+    from repro.kripke.symbolic import ProcessSymmetry, SymbolicKripkeStructure
+    from repro.logic.ast import IndexedAtom
+
+    width = 2  # state bits per ring process
+
+    def make(structure, sigma):
+        var_map = {
+            2 * width * (process - 1) + bit: 2 * width * (image - 1) + bit
+            for process, image in sigma.items()
+            for bit in range(2 * width)
+        }
+        props = {
+            IndexedProp(name, process): structure.atom_node(IndexedAtom(name, process))
+            for name in "dntc"
+            for process in sigma
+        }
+        return SymbolicKripkeStructure(
+            structure.manager,
+            structure.num_bits,
+            structure.transition_parts,
+            structure.initial,
+            structure.domain,
+            props,
+            index_values=structure.index_values,
+            symmetry=ProcessSymmetry(var_map, sigma),
+        )
+
+    return make
+
+
+@pytest.fixture(scope="session")
 def toggle_structure() -> KripkeStructure:
     """A minimal two-state structure alternating between labels {p} and {q}."""
     return KripkeStructure(

@@ -5,15 +5,18 @@ checked beyond the explicit range (up to r = 20, twenty million states);
 the SAT engines refute the seeded bugs and prove the invariants they can,
 next to the BDD engine on the same families.  Exact counts (``r·2^r``
 reachable states, counterexample depths, "proved by 1-induction"), the
-peak-live-node ceilings, the r = 12 work ceilings and the node-table pins
-are deterministic, so they gate regressions without timing anything; wall
-time is measured by the repo benchmark (``perfbench/run.py``).
+peak-live-node ceilings, the r = 12 work ceilings, the IC3 work ceilings
+and the node-table pins are deterministic, so they gate regressions
+without timing anything; wall time is measured by the repo benchmark
+(``perfbench/run.py``).
 """
 
 import pytest
 
 import repro.bdd.sanitize as bdd_sanitize
 from repro.analysis.explosion import symbolic_token_ring_explosion_sweep
+from repro.cli import _mutex_family, _ring_family
+from repro.errors import FragmentError
 from repro.kripke.paths import is_path
 from repro.logic.builders import exactly_one
 from repro.mc import (
@@ -134,6 +137,30 @@ def test_symbolic_ring12_work_ceilings():
     for name, baseline in _R12_WORK.items():
         ceiling = int(baseline * _WORK_MARGIN)
         assert work[name] <= ceiling, "%s regressed: %d > %d" % (name, work[name], ceiling)
+
+
+#: IC3 work over the whole CLI property family, summed per checker, before
+#: blocked cubes were seeded along their symmetry orbit: (obligations,
+#: generalization queries).  Seeding must at least halve both.
+_IC3_FAMILY_WORK = {
+    "mutex-12": (_mutex_family, mutex.symbolic_mutex, 12, (168, 332)),
+    "ring-8": (_ring_family, token_ring.symbolic_token_ring, 8, (148, 298)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IC3_FAMILY_WORK))
+def test_ic3_symmetry_work_ceilings(name):
+    family_of, build, size, (obligations, queries) = _IC3_FAMILY_WORK[name]
+    family, _ = family_of(size, False)
+    checker = IC3ModelChecker(build(size, domain="free"))
+    for formula in family.values():
+        try:
+            assert checker.check(formula)
+        except FragmentError:
+            continue  # liveness: outside the IC3 fragment
+    stats = checker.stats()
+    assert stats["obligations"] <= obligations // 2, stats
+    assert stats["generalization_queries"] <= queries // 2, stats
 
 
 #: The node table each direct encoding leaves behind: the initial-state and

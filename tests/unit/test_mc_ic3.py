@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.bdd.sanitize import assert_no_leaks
+from repro.cli import _mutex_family, _ring_family
 from repro.errors import FragmentError, InconclusiveError
 from repro.kripke.paths import is_path
-from repro.logic.ast import And, Atom, Exists, Finally, Implies, Not, Or
+from repro.logic.ast import And, Atom, Exists, Finally, Implies, IndexedAtom, Not, Or
 from repro.logic.builders import AF, AG, EF, EG
 from repro.mc.bitset import ENGINE_NAMES, BitsetCTLModelChecker, make_ctl_checker
 from repro.mc.fairness import FairnessConstraint
 from repro.mc.ic3 import DEFAULT_MAX_FRAMES, IC3ModelChecker, InvariantCertificate
 from repro.mc.indexed import ICTLStarModelChecker
+from repro.obs.trace import recording
 from repro.systems import counter, mutex, token_ring
 
 
@@ -170,3 +173,156 @@ def test_explicit_structures_are_encoded_transparently():
     checker = IC3ModelChecker(explicit)
     assert checker.check(mutex.mutex_safety(2))
     assert checker.certificate is not None
+
+
+# -- symmetry-seeded lemmas ---------------------------------------------------
+
+
+def _run_spans(structure, formula):
+    """Check ``formula`` with IC3 while recording; the checker, verdict and ``ic3.run`` spans."""
+    checker = IC3ModelChecker(structure)
+    with recording() as tracer:
+        verdict = checker.check(formula)
+    return checker, verdict, tracer.find("ic3.run")
+
+
+@pytest.mark.parametrize(
+    "build, formula, path, reason",
+    [
+        (lambda: mutex.symbolic_mutex(5, domain="free"), mutex.mutex_safety(5), "trusted", None),
+        (
+            lambda: token_ring.symbolic_token_ring(5, domain="free"),
+            token_ring.ring_mutual_exclusion(5),
+            "checked",
+            "init_not_invariant",
+        ),
+        (
+            lambda: mutex.symbolic_mutex(4, domain="free"),
+            AG(Not(IndexedAtom("c", 1))),
+            "checked",
+            "bad_not_invariant",
+        ),
+        (
+            lambda: counter.symbolic_counter(8, domain="free"),
+            counter.counter_nonzero(8),
+            "off",
+            "no_candidate",
+        ),
+        (lambda: mutex.build_mutex(4), mutex.mutex_safety(4), "off", "no_candidate"),
+    ],
+    ids=[
+        "mutex-5-free",
+        "ring-5-free",
+        "mutex-4-asymmetric-bad",
+        "counter-8-free",
+        "explicit-mutex-4",
+    ],
+)
+def test_each_run_reports_its_symmetry_path(build, formula, path, reason):
+    checker, _, spans = _run_spans(build(), formula)
+    assert spans
+    for span in spans:
+        assert span.attrs["symmetry"] == path
+        assert span.attrs.get("symmetry_reason") == reason
+    stats = checker.stats()
+    if path == "off":
+        assert stats["rotated_lemmas"] == stats["rotation_queries"] == 0
+    elif path == "trusted":
+        assert stats["rotated_lemmas"] > 0 and stats["rotation_queries"] == 0
+
+
+def _rotate(cube, var_map):
+    return frozenset(
+        (var_map.get(2 * (abs(literal) - 1), 2 * (abs(literal) - 1)) // 2 + 1)
+        * (1 if literal > 0 else -1)
+        for literal in cube
+    )
+
+
+def test_trusted_certificate_is_closed_under_rotation():
+    structure = mutex.symbolic_mutex(5, domain="free")
+    checker = IC3ModelChecker(structure)
+    assert checker.check(mutex.mutex_safety(5))
+    cubes = {frozenset(cube) for cube in checker.certificate.cubes}
+    var_map = structure.verified_symmetry().var_map
+    assert {_rotate(cube, var_map) for cube in cubes} == cubes
+    # More than one orbit member per lemma, or the closure is vacuous.
+    assert any(_rotate(cube, var_map) != cube for cube in cubes)
+
+
+@pytest.mark.parametrize("buggy", [False, True], ids=["correct", "buggy"])
+@pytest.mark.parametrize("system", ["ring", "mutex"])
+@pytest.mark.parametrize("size", range(3, 7))
+def test_seeded_verdicts_match_the_bitset_oracle(system, size, buggy):
+    family_of, explicit, symbolic = {
+        "ring": (_ring_family, token_ring.build_token_ring, token_ring.symbolic_token_ring),
+        "mutex": (_mutex_family, mutex.build_mutex, mutex.symbolic_mutex),
+    }[system]
+    family, _ = family_of(size, False)
+    checker = IC3ModelChecker(symbolic(size, buggy=buggy, domain="free"))
+    verdicts = {}
+    for name, formula in family.items():
+        try:
+            verdicts[name] = checker.check(formula)
+        except FragmentError:
+            continue  # liveness: outside the IC3 fragment
+    assert verdicts
+    oracle = ICTLStarModelChecker(
+        explicit(size, buggy=buggy), engine="bitset", enforce_restrictions=False
+    )
+    for name, verdict in verdicts.items():
+        assert verdict == oracle.check(family[name]), name
+    assert all(verdicts.values()) != buggy
+
+
+@pytest.mark.parametrize(
+    "build, formula",
+    [
+        (lambda: mutex.symbolic_mutex(5, domain="free"), mutex.mutex_safety(5)),
+        (
+            lambda: token_ring.symbolic_token_ring(5, domain="free"),
+            token_ring.ring_mutual_exclusion(5),
+        ),
+    ],
+    ids=["mutex-5", "ring-5"],
+)
+def test_drat_certifies_seeded_proofs(build, formula):
+    checker = IC3ModelChecker(build(), drat=True)
+    assert checker.check(formula)
+    assert checker.stats()["rotated_lemmas"] > 0
+    assert checker.last_proof_stats["unsat_checks"] > 0
+
+
+def test_a_rejected_candidate_runs_off_and_still_proves(ring_with_candidate):
+    transposition = {1: 2, 2: 1, 3: 3, 4: 4}  # not one cycle
+    structure = ring_with_candidate(
+        token_ring.symbolic_token_ring(4, domain="free"), transposition
+    )
+    checker, verdict, spans = _run_spans(structure, token_ring.ring_mutual_exclusion(4))
+    assert verdict
+    assert checker.certificate is not None
+    assert [(span.attrs["symmetry"], span.attrs["symmetry_reason"]) for span in spans] == [
+        ("off", "not_one_cycle")
+    ]
+    assert checker.stats()["rotated_lemmas"] == 0
+
+
+@pytest.mark.parametrize(
+    "build, formula",
+    [
+        (lambda: mutex.symbolic_mutex(4, domain="free"), mutex.mutex_safety(4)),
+        (
+            lambda: token_ring.symbolic_token_ring(4, domain="free"),
+            token_ring.invariant_one_token(),
+        ),
+    ],
+    ids=["trusted", "checked"],
+)
+def test_seeding_leaves_no_bdd_references_behind(build, formula):
+    structure = build()
+    # The first check memoises the property's lowering on the structure.
+    assert IC3ModelChecker(structure).check(formula)
+    with assert_no_leaks(structure.manager):
+        checker = IC3ModelChecker(structure)
+        assert checker.check(formula)
+        del checker

@@ -18,8 +18,6 @@ back to instantiation, give the same edge, and say why in
 import pytest
 
 from repro.cli import _mutex_family, _ring_family
-from repro.kripke.structure import IndexedProp
-from repro.kripke.symbolic import ProcessSymmetry, SymbolicKripkeStructure
 from repro.logic.ast import IndexedAtom
 from repro.logic.builders import (
     AF,
@@ -148,30 +146,6 @@ def test_fairness_on_one_process_only_falls_back():
     assert structure.verified_symmetry() is not None
 
 
-def _with_candidate(structure, sigma, width=2):
-    """A copy of a ring encoding declaring the process permutation ``sigma``."""
-    var_map = {
-        2 * width * (process - 1) + bit: 2 * width * (image - 1) + bit
-        for process, image in sigma.items()
-        for bit in range(2 * width)
-    }
-    props = {
-        IndexedProp(name, process): structure.atom_node(IndexedAtom(name, process))
-        for name in "dntc"
-        for process in sigma
-    }
-    return SymbolicKripkeStructure(
-        structure.manager,
-        structure.num_bits,
-        structure.transition_parts,
-        structure.initial,
-        structure.domain,
-        props,
-        index_values=structure.index_values,
-        symmetry=ProcessSymmetry(var_map, sigma),
-    )
-
-
 @pytest.mark.parametrize(
     "sigma, reason",
     [
@@ -180,8 +154,8 @@ def _with_candidate(structure, sigma, width=2):
     ],
     ids=["transposition", "scrambled-cycle"],
 )
-def test_bogus_candidate_is_rejected_and_falls_back(sigma, reason):
-    structure = _with_candidate(token_ring.symbolic_token_ring(4), sigma)
+def test_bogus_candidate_is_rejected_and_falls_back(sigma, reason, ring_with_candidate):
+    structure = ring_with_candidate(token_ring.symbolic_token_ring(4), sigma)
     formula = token_ring.property_request_until_token()
     before = _fallbacks(reason)
     node = SymbolicCTLModelChecker(structure).satisfaction_node(formula)
@@ -191,8 +165,8 @@ def test_bogus_candidate_is_rejected_and_falls_back(sigma, reason):
     assert _fallbacks(reason) == before + 1
 
 
-def test_inverse_rotation_is_accepted():
-    structure = _with_candidate(
+def test_inverse_rotation_is_accepted(ring_with_candidate):
+    structure = ring_with_candidate(
         token_ring.symbolic_token_ring(4), {1: 4, 2: 1, 3: 2, 4: 3}
     )
     assert structure.verified_symmetry() is not None, structure.symmetry_reason

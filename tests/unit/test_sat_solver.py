@@ -277,7 +277,10 @@ def test_glue_reduction_keeps_binary_clauses_sound():
 # Search identity: the counters below were recorded before the propagation,
 # heap and value-table internals were last rewritten.  A change to the
 # solver's speed must leave them exactly as they are; a change to its
-# heuristics has to re-record them on purpose.
+# heuristics has to re-record them on purpose.  The free-domain IC3 rows
+# also pin which queries the IC3 search issues (mutex takes the trusted
+# symmetry path, the ring the checked one), so a change to its lemma
+# strategy re-records those rows too.
 # ---------------------------------------------------------------------------
 
 _PINNED_FIELDS = ("conflicts", "decisions", "propagations", "learned_clauses", "restarts")
@@ -329,6 +332,15 @@ def _ic3_free_mutex_stats():
     return checker.stats()
 
 
+def _ic3_free_ring_stats():
+    from repro.mc.ic3 import IC3ModelChecker
+    from repro.systems.token_ring import ring_mutual_exclusion, symbolic_token_ring
+
+    checker = IC3ModelChecker(symbolic_token_ring(4, domain="free"))
+    assert checker.check(ring_mutual_exclusion(4))
+    return checker.stats()
+
+
 @pytest.mark.parametrize(
     "run, expected",
     [
@@ -340,7 +352,8 @@ def _ic3_free_mutex_stats():
         pytest.param(lambda: _random_3cnf_stats(4), (56, 88, 876, 54, 0), id="3cnf-seed4"),
         pytest.param(_bmc_buggy_mutex_stats, (759, 2064, 176029, 752, 3), id="bmc-buggy-mutex-4"),
         pytest.param(_ic3_mutex_stats, (0, 0, 56, 0, 0), id="ic3-mutex-4"),
-        pytest.param(_ic3_free_mutex_stats, (396, 1211, 21669, 383, 0), id="ic3-free-mutex-4"),
+        pytest.param(_ic3_free_mutex_stats, (355, 1053, 14873, 341, 0), id="ic3-free-mutex-4"),
+        pytest.param(_ic3_free_ring_stats, (491, 1090, 21035, 465, 0), id="ic3-free-ring-4"),
     ],
 )
 def test_search_is_pinned(run, expected):
