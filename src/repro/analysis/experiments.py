@@ -18,8 +18,6 @@ E8     Section 1/5 — state explosion vs. correspondence-based verification
 E9     Section 6 — the k-nesting conjecture on free products
 E10    Section 3 — scaling of the correspondence decision algorithm
 E11    Section 5 — liveness under fairness (``AF t_i`` on fair vs. unfair rings)
-E12    BMC vs. BDD — falsification race on seeded-bug rings (SAT engine)
-E13    IC3 vs. BDD vs. k-induction — time-to-*proof* race on safe families
 =====  ======================================================================
 """
 
@@ -66,8 +64,6 @@ __all__ = [
     "run_e9_conjecture",
     "run_e10_scaling",
     "run_e11_fairness",
-    "run_e12_bmc",
-    "run_e13_ic3",
     "run_all",
 ]
 
@@ -502,244 +498,6 @@ def run_e11_fairness(
 
 
 # ---------------------------------------------------------------------------
-# E12 — SAT-based bounded model checking vs. the BDD engine
-# ---------------------------------------------------------------------------
-
-
-def run_e12_bmc(
-    sizes: Sequence[int] = (6, 8),
-    oracle_size: int = 6,
-    bound: int = 10,
-) -> Dict:
-    """E12 — BMC-vs-BDD falsification race on seeded-bug token rings.
-
-    Each ring carries the seeded token-duplication bug
-    (:func:`~repro.systems.token_ring.ring_successors` with ``buggy=True``),
-    which breaks the one-token invariant ``AG Θ_i t_i`` two transitions from
-    the initial state.  Per size, both engines falsify the invariant end to
-    end — the BDD engine builds the reachable-domain encoding (paying the
-    symbolic reachability fixpoint) and runs the ``EF`` fixpoint; the BMC
-    engine builds the free-domain encoding (no fixpoint) and asks an
-    incremental SAT solver one question per depth.  The point reproduced is
-    the classic division of labour: BMC cost tracks the *bound* while BDD
-    cost tracks the *reachable set*, so the shallow bug is exactly the
-    BMC-shaped workload.
-
-    At ``oracle_size`` the SAT counterexample is decoded into ring states
-    and validated against the explicit buggy ring — it must be a genuine
-    path from the initial state whose final state violates the invariant,
-    of exactly the depth the bitset engine's BFS counterexample has (both
-    are depth-minimal).
-    """
-    from repro.kripke.paths import is_path
-    from repro.logic.builders import exactly_one
-    from repro.mc import BoundedModelChecker, counterexample_ag
-
-    formula = token_ring.invariant_one_token()
-    rows = []
-    for size in sizes:
-        bdd_build = timed_call(token_ring.symbolic_token_ring, size, buggy=True)
-        bdd_check = timed_call(
-            SymbolicCTLModelChecker(bdd_build.value).check, formula
-        )
-        bmc_build = timed_call(
-            token_ring.symbolic_token_ring, size, buggy=True, domain="free"
-        )
-        checker = BoundedModelChecker(bmc_build.value, bound=bound)
-        bmc_check = timed_call(checker.check, formula)
-        depth = (
-            len(checker.last_counterexample) - 1
-            if checker.last_counterexample is not None
-            else None
-        )
-        rows.append(
-            {
-                "size": size,
-                "bdd_verdict": bdd_check.value,
-                "bdd_seconds": bdd_build.seconds + bdd_check.seconds,
-                "bmc_verdict": bmc_check.value,
-                "bmc_seconds": bmc_build.seconds + bmc_check.seconds,
-                "counterexample_depth": depth,
-                "sat": checker.stats(),
-            }
-        )
-
-    # Decode-and-validate against the explicit buggy ring + the bitset oracle.
-    explicit = token_ring.build_token_ring(oracle_size, buggy=True)
-    free = token_ring.symbolic_token_ring(oracle_size, buggy=True, domain="free")
-    oracle_checker = BoundedModelChecker(free, bound=bound)
-    bmc_path = oracle_checker.invariant_counterexample(exactly_one("t"))
-    bitset_path = counterexample_ag(explicit, exactly_one("t"), engine="bitset")
-    path_valid = (
-        bmc_path is not None
-        and bmc_path[0] == explicit.initial_state
-        and is_path(explicit, bmc_path)
-        and not explicit.atom_holds(bmc_path[-1], exactly_one("t"))
-    )
-    return {
-        "rows": rows,
-        "bound": bound,
-        "oracle_size": oracle_size,
-        "bmc_found_everywhere": all(not row["bmc_verdict"] for row in rows),
-        "bdd_agrees_everywhere": all(not row["bdd_verdict"] for row in rows),
-        "counterexample_valid": path_valid,
-        "bmc_depth_matches_bitset_oracle": (
-            bmc_path is not None
-            and bitset_path is not None
-            and len(bmc_path) == len(bitset_path)
-        ),
-        "bmc_counterexample": [repr(state) for state in (bmc_path or [])],
-    }
-
-
-# ---------------------------------------------------------------------------
-# E13 — IC3 vs. BDD vs. k-induction: the time-to-proof race
-# ---------------------------------------------------------------------------
-
-
-def run_e13_ic3(
-    ring_size: int = 4,
-    mutex_size: int = 4,
-    counter_size: int = 12,
-    kinduction_bound: int = 10,
-    oracle_size: int = 3,
-) -> Dict:
-    """E13 — unbounded *proving*: IC3 vs. the BDD fixpoint vs. k-induction.
-
-    E12 raced the engines on falsification; this experiment races them on
-    **proof**, on three safe families chosen so each engine's
-    characteristic failure mode shows once (see ``docs/ENGINES.md``):
-
-    * ``ring(ring_size)`` with the pairwise mutual-exclusion property
-      (:func:`~repro.systems.token_ring.ring_mutual_exclusion`): true but
-      *not inductive* on the free bit-pattern domain, so k-induction at
-      ``kinduction_bound`` comes back inconclusive while IC3 discovers the
-      token-counting strengthening as a handful of blocked cubes;
-    * ``mutex(mutex_size)`` with
-      :func:`~repro.systems.mutex.mutex_safety`: provable by every engine
-      — the calibration row;
-    * ``counter(counter_size)`` (:mod:`repro.systems.counter`): the
-      reachable state space is a single path of length ``2^n − 2``, so the
-      BDD engine's reachability fixpoint needs that many image steps while
-      both SAT provers finish immediately — the row where IC3 beats the
-      BDD engine's time-to-proof outright.
-
-    Every IC3 proof returns a certificate that the engine has already
-    re-verified against the CNF transition relation by independent SAT
-    queries (initiation, consecution, safety).  At ``oracle_size`` the IC3
-    verdicts are additionally cross-checked against the explicit bitset
-    engine, and the buggy-mutex counterexample is decoded and validated as
-    a genuine path of the explicit structure.
-    """
-    from repro.errors import InconclusiveError
-    from repro.kripke.paths import is_path
-    from repro.mc import BoundedModelChecker, IC3ModelChecker, make_ctl_checker
-    from repro.systems import counter, mutex
-
-    def race(family, size, build_symbolic, build_free, formula, kinduction=True):
-        free_build = timed_call(build_free, size)
-        ic3 = IC3ModelChecker(free_build.value)
-        ic3_check = timed_call(ic3.check, formula)
-        bdd_build = timed_call(build_symbolic, size)
-        bdd_check = timed_call(
-            SymbolicCTLModelChecker(bdd_build.value).check, formula
-        )
-        row = {
-            "family": family,
-            "size": size,
-            "ic3_verdict": ic3_check.value,
-            "ic3_seconds": free_build.seconds + ic3_check.seconds,
-            "ic3_detail": ic3.last_detail,
-            "certificate_clauses": (
-                ic3.certificate.num_clauses if ic3.certificate else None
-            ),
-            "bdd_verdict": bdd_check.value,
-            "bdd_seconds": bdd_build.seconds + bdd_check.seconds,
-            "ic3": {
-                key: ic3.stats()[key]
-                for key in ("frames", "cubes_blocked", "obligations", "relative_queries")
-            },
-        }
-        if kinduction:
-            kind_build = timed_call(build_free, size)
-            kind = BoundedModelChecker(kind_build.value, bound=kinduction_bound)
-            try:
-                kind_check = timed_call(kind.check, formula)
-                row["kinduction_verdict"] = kind_check.value
-                row["kinduction_seconds"] = kind_build.seconds + kind_check.seconds
-                row["kinduction_detail"] = kind.last_detail
-            except InconclusiveError:
-                row["kinduction_verdict"] = None
-                row["kinduction_seconds"] = None
-                row["kinduction_detail"] = (
-                    "inconclusive at bound %d" % kinduction_bound
-                )
-        return row
-
-    free = lambda build: (lambda size: build(size, domain="free"))
-    rows = [
-        race(
-            "ring",
-            ring_size,
-            token_ring.symbolic_token_ring,
-            free(token_ring.symbolic_token_ring),
-            token_ring.ring_mutual_exclusion(ring_size),
-        ),
-        race(
-            "mutex",
-            mutex_size,
-            mutex.symbolic_mutex,
-            free(mutex.symbolic_mutex),
-            mutex.mutex_safety(mutex_size),
-        ),
-        race(
-            "counter",
-            counter_size,
-            counter.symbolic_counter,
-            free(counter.symbolic_counter),
-            counter.counter_nonzero(counter_size),
-        ),
-    ]
-    by_family = {row["family"]: row for row in rows}
-
-    # Oracle cross-checks at a small size: verdicts against the bitset
-    # engine, and a decoded IC3 counterexample validated end to end.
-    explicit = mutex.build_mutex(oracle_size)
-    safety = mutex.mutex_safety(oracle_size)
-    agree = IC3ModelChecker(explicit).check(safety) == make_ctl_checker(
-        explicit, engine="bitset"
-    ).check(safety)
-    buggy = mutex.build_mutex(oracle_size, buggy=True)
-    falsifier = IC3ModelChecker(buggy)
-    refuted = not falsifier.check(safety)
-    path = falsifier.last_counterexample
-    path_valid = (
-        refuted
-        and path is not None
-        and path[0] == buggy.initial_state
-        and is_path(buggy, path)
-    )
-    return {
-        "rows": rows,
-        "kinduction_bound": kinduction_bound,
-        "oracle_size": oracle_size,
-        "ic3_proved_everywhere": all(
-            row["ic3_verdict"] and row["ic3_detail"].startswith("ic3-invariant")
-            for row in rows
-        ),
-        "bdd_agrees_everywhere": all(row["bdd_verdict"] for row in rows),
-        "kinduction_inconclusive_on_ring": (
-            by_family["ring"]["kinduction_verdict"] is None
-        ),
-        "ic3_beats_bdd_on_counter": (
-            by_family["counter"]["ic3_seconds"] < by_family["counter"]["bdd_seconds"]
-        ),
-        "oracle_agrees": agree,
-        "counterexample_valid": path_valid,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Everything at once
 # ---------------------------------------------------------------------------
 
@@ -774,16 +532,6 @@ def run_all(quick: bool = True, engine: str = "bitset") -> Dict[str, Dict]:
             sizes=(2, 3) if quick else (2, 4, 8),
             symbolic_sizes=(6,) if quick else (10, 20),
             engine=engine,
-        ),
-        "E12_bmc": lambda: run_e12_bmc(
-            sizes=(4, 6) if quick else (6, 8, 12),
-            oracle_size=4 if quick else 6,
-        ),
-        "E13_ic3": lambda: run_e13_ic3(
-            ring_size=4 if quick else 5,
-            mutex_size=4 if quick else 6,
-            counter_size=10 if quick else 14,
-            kinduction_bound=8 if quick else 12,
         ),
     }
     results: Dict[str, Dict] = {}

@@ -36,7 +36,7 @@ at its cooperative checkpoints; ``--buggy`` builds the seeded-bug system
 variants.  ``--fairness`` switches
 every check to the fairness-constrained semantics and adds the
 fairness-dependent liveness family.  ``--experiments`` instead replays the
-full E1–E13 experiment suite and prints one summary line per experiment.
+full E1–E11 experiment suite and prints one summary line per experiment.
 
 The process exits non-zero when a checked property is violated (or an
 experiment's headline claim fails to reproduce), so the command doubles as a
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--experiments",
         action="store_true",
-        help="run the full E1-E13 experiment suite instead of a single check",
+        help="run the full E1-E11 experiment suite instead of a single check",
     )
     parser.add_argument(
         "--profile",
@@ -529,27 +529,13 @@ _EXPERIMENT_HEADLINES = {
         and r["engines_agree"]
         and r["counterexample_valid"]
     ),
-    "E12_bmc": lambda r: (
-        r["bmc_found_everywhere"]
-        and r["bdd_agrees_everywhere"]
-        and r["counterexample_valid"]
-        and r["bmc_depth_matches_bitset_oracle"]
-    ),
-    "E13_ic3": lambda r: (
-        r["ic3_proved_everywhere"]
-        and r["bdd_agrees_everywhere"]
-        and r["kinduction_inconclusive_on_ring"]
-        and r["ic3_beats_bdd_on_counter"]
-        and r["oracle_agrees"]
-        and r["counterexample_valid"]
-    ),
 }
 
 
 def _run_experiments(engine: str, quick: bool, out, profile: bool = False) -> bool:
     from repro.analysis import experiments
 
-    print("running E1-E13 (engine=%s, quick=%s)" % (engine, quick), file=out)
+    print("running E1-E11 (engine=%s, quick=%s)" % (engine, quick), file=out)
     ran = timed_call(experiments.run_all, quick=quick, engine=engine)
     print("  %-20s %s" % ("experiment", "reproduced"), file=out)
     ok = True
@@ -634,8 +620,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiments:
         if args.engine in SAT_ENGINES or args.engine == "portfolio":
             print(
-                "error: the experiment suite sweeps the full-CTL engines; the "
-                "SAT stories are replayed as E12/E13 under any of them",
+                "error: the experiment suite sweeps the full-CTL engines; use "
+                "bitset, naive, or bdd",
                 file=sys.stderr,
             )
             return 2
@@ -654,7 +640,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.system != "ring":
             print(
                 "error: --system applies to single checks; the experiment "
-                "suite already sweeps the mutex and counter families in E13",
+                "suite sweeps the paper's ring family",
                 file=sys.stderr,
             )
             return 2

@@ -38,6 +38,21 @@ variable id, so the pairs are interleaved and the current↔next renames are
 order-preserving.  Everything the structure stores is held through
 reference-counted :class:`~repro.bdd.BDDFunction` handles, so the manager's
 mark-and-sweep GC treats it as roots.
+
+Reachability
+------------
+The reachable domain starts as frontier search, one image per BFS layer.
+A family whose frontier search outlasts a fixed multiple of its bit count
+(the saturating counter, a single path of ``2^n − 2`` steps) switches to
+iterative squaring, which needs ``O(log diameter)`` steps.  Squaring
+composes the closure with itself, so it needs three copies of the state
+bits.  They live in a scratch block above ``2·num_bits``: bit ``b`` has
+its current copy at ``B + 3b``, the intermediate at ``B + 3b + 1`` and the
+next copy at ``B + 3b + 2``, with ``B = 2·num_bits``.  Renaming
+``(2b, 2b + 1)`` into the block and back is monotone, so every rename is
+the order-preserving :meth:`~repro.bdd.BDDManager.rename`, and the layout
+of the state variables themselves never changes.  Families that never
+switch (ring, mutex) allocate no scratch variable.
 """
 
 from __future__ import annotations
@@ -85,6 +100,16 @@ _EXPLICIT_PARTITION_CHUNK = 256
 
 #: Node-count cap when OR-merging small relation parts into one cluster.
 _CLUSTER_NODE_CAP = 2048
+
+#: Frontier rounds per state bit before reachability switches to iterative
+#: squaring: a family whose diameter exceeds a few times its bit count (the
+#: counter's single long path) is deep, one whose frontier search finishes
+#: sooner (ring, mutex) never switches.
+_SQUARING_AFTER_ROUNDS_PER_BIT = 4
+
+#: Node-count cap on the transition relation and every squared closure;
+#: past it reachability falls back to frontier search.
+_SQUARING_NODE_CAP = 20000
 
 #: A transition part as accepted by the constructor: one BDD edge, or a
 #: sequence of conjunct edges to be conjoined with early quantification.
@@ -218,6 +243,7 @@ class SymbolicKripkeStructure:
             for var in self._current_vars + self._next_vars:
                 manager.var(var)
             self._clusters = self._build_clusters(transition_parts)
+            self._transition_total: Optional[BDDFunction] = None
             self._initial = BDDFunction(manager, initial)
             self._true = BDDFunction.true(manager)
             self._false = BDDFunction.false(manager)
@@ -235,7 +261,6 @@ class SymbolicKripkeStructure:
             self._decode_assignment = decode_assignment
             self._name = name
             self._exactly_one_nodes: Dict[str, BDDFunction] = {}
-            self._transition_total: Optional[BDDFunction] = None
             self._symmetry = symmetry
             self._symmetry_reason: Optional[str] = None
             self._symmetry_checked = False
@@ -517,8 +542,14 @@ class SymbolicKripkeStructure:
             domain = self._domain
             current = self._initial if domain is None else self._initial & domain
             frontier = current
-            rounds = 0
+            rounds = steps = 0
+            method = "frontier"
             while not frontier.is_false:
+                if rounds == _SQUARING_AFTER_ROUNDS_PER_BIT * self._num_bits:
+                    squared, steps = self._squaring_reachable(current)
+                    if squared is not None:
+                        current, method = squared, "squaring"
+                        break
                 rounds += 1
                 _heartbeat(
                     "bdd", fixpoint="reachable", round=rounds, live=self.manager._live
@@ -528,9 +559,69 @@ class SymbolicKripkeStructure:
                     fresh = fresh & domain
                 frontier = fresh & ~current
                 current = current | frontier
-            sp.set(rounds=rounds)
+            sp.set(rounds=rounds, method=method, squaring_steps=steps)
         _metrics.counter("bdd.reachable.rounds").inc(rounds)
         return current
+
+    def _squaring_reachable(
+        self, start: BDDFunction
+    ) -> Tuple[Optional[BDDFunction], int]:
+        """The states reachable from ``start`` by iterative squaring, and the step count.
+
+        ``C₀ = T ∨ Id`` and ``Cᵢ₊₁(x, x') = ∃y. Cᵢ(x, y) ∧ Cᵢ(y, x')``, so
+        ``Cᵢ`` relates the states at most ``2^i`` steps apart and
+        ``Rᵢ₊₁ = Img_{Cᵢ}(Rᵢ)`` reaches every state within ``2^(i+1) − 1``
+        steps of ``start``.  Every ``Cᵢ ⊇ T ∪ Id``, so once ``R`` is stable
+        it is closed under ``T``: the least fixpoint.  With a domain ``D``,
+        ``T`` is confined to ``D(x')`` as the frontier loop confines each
+        image.  The closures live in the scratch block described in the
+        module docstring.  Returns ``(None, steps)`` once the relation or a
+        closure passes :data:`_SQUARING_NODE_CAP`.
+        """
+        base = 2 * self._num_bits
+        bits = range(self._num_bits)
+        to_scratch = {}
+        for bit in bits:
+            to_scratch[2 * bit] = base + 3 * bit
+            to_scratch[2 * bit + 1] = base + 3 * bit + 2
+        scratch_to_state = {base + 3 * bit + 2: 2 * bit for bit in bits}
+        next_to_mid = {base + 3 * bit + 2: base + 3 * bit + 1 for bit in bits}
+        current_to_mid = {base + 3 * bit: base + 3 * bit + 1 for bit in bits}
+        scratch_current = tuple(base + 3 * bit for bit in bits)
+        mid = tuple(base + 3 * bit + 1 for bit in bits)
+
+        relation = self._monolithic_transition()
+        if self._domain is not None:
+            relation = relation & self._domain.rename(self._c2n)
+        if relation.size > _SQUARING_NODE_CAP:
+            return None, 0
+        identity = self._true
+        for bit in reversed(bits):
+            var = base + 3 * bit
+            identity = identity & BDDFunction.variable(self.manager, var).iff(
+                BDDFunction.variable(self.manager, var + 2)
+            )
+        closure = relation.rename(to_scratch) | identity
+        reached = start
+        steps = 0
+        while True:
+            steps += 1
+            _heartbeat(
+                "bdd", fixpoint="reachable_squaring", step=steps, live=self.manager._live
+            )
+            image = (
+                reached.rename(to_scratch)
+                .relprod(closure, scratch_current)
+                .rename(scratch_to_state)
+            )
+            if image == reached:
+                return reached, steps
+            reached = image
+            closure = closure.rename(next_to_mid).relprod(
+                closure.rename(current_to_mid), mid
+            )
+            if closure.size > _SQUARING_NODE_CAP:
+                return None, steps
 
     def reachable(self) -> int:
         """The least fixpoint of post-images from the initial state."""

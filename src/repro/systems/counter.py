@@ -1,4 +1,4 @@
-"""A saturating ripple counter: the diameter-stress family for engine races.
+"""A saturating ripple counter: the diameter-stress family.
 
 Each of ``n`` identical bit-processes is in part *zero* (``z_i``) or *one*
 (``o_i``); process 1 is the least-significant bit.  The network increments:
@@ -9,20 +9,23 @@ Each of ``n`` identical bit-processes is in part *zero* (``z_i``) or *one*
 
 Starting from value 1, the counter walks ``1, 2, …, 2^n − 1`` and parks —
 so the reachable state space is a **single path of length ``2^n − 2``**.
-That shape is exactly what separates the engines (the reason this family
-exists; see ``docs/ENGINES.md`` and experiment E13):
+That shape stresses each engine differently (the reason this family
+exists; see ``docs/ENGINES.md``):
 
-* the **BDD engine**'s reachability fixpoint advances one frontier per
-  image, so building the reachable domain takes ``2^n − 2`` image steps —
-  the classic sequential-circuit worst case for breadth-first symbolic
-  traversal, even though every intermediate BDD is small;
+* **breadth-first symbolic traversal** advances one frontier per image,
+  so it would take ``2^n − 2`` images — the classic sequential-circuit
+  worst case, even though every intermediate BDD is small.  The BDD
+  engine's reachability therefore switches to iterative squaring once
+  frontier search has run a few rounds per state bit
+  (:class:`~repro.kripke.symbolic.SymbolicKripkeStructure`), which
+  covers the path in ``O(n)`` squaring steps: the counter's transitive
+  closure is a small comparator;
 * the SAT-based provers never build the reachable set: the safety property
   :func:`counter_nonzero` (``AG ¬zero`` — the counter never wraps) is
   inductive because the all-zero state has **no predecessors** (every
   increment sets a bit, saturation keeps all ones), so both IC3
   (``engine="ic3"``) and k-induction (``engine="bmc"``) prove it in
-  milliseconds at sizes where the BDD fixpoint grinds through thousands of
-  iterations.
+  milliseconds.
 
 ``buggy=True`` seeds the dual stress: a *wrap* rule from all-ones back to
 all-zero.  The violation then sits at depth ``2^n − 1`` — a deep bug that
@@ -141,10 +144,11 @@ def symbolic_counter(size: int, buggy: bool = False, domain: str = "reachable"):
     One state bit per process; the ripple-increment contributes one relation
     part per carry length ``k`` (each touching only bits ``1 … k``), plus
     the saturation self-loop (or the seeded wrap).  ``domain="reachable"``
-    runs the symbolic reachability fixpoint — **deliberately** ``2^size − 2``
-    image steps on this family — while ``domain="free"`` skips it for the
-    SAT engines.  No candidate process symmetry is declared: the carry
-    ripple orders the bits, and the property family has no index
+    runs the symbolic reachability fixpoint — frontier search, switching to
+    iterative squaring after ``4·size`` images, so about ``size`` squaring
+    steps cover the ``2^size − 2`` path — while ``domain="free"`` skips it
+    for the SAT engines.  No candidate process symmetry is declared: the
+    carry ripple orders the bits, and the property family has no index
     quantifier to reduce.
     """
     if size < 1:

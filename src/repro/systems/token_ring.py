@@ -195,8 +195,8 @@ def ring_successors(state: RingState, size: int, buggy: bool = False) -> List[Ri
     token — which silently duplicates the token (the labelling derives
     ``t_i`` from ``T ∪ C`` membership) and breaks the ``AG Θ_i t_i``
     invariant two transitions from the initial state.  The buggy family is
-    the falsification target of the bounded model checker (experiment E12
-    and ``tests/integration/test_engines_at_scale.py``).
+    the falsification target of the bounded model checker
+    (``tests/integration/test_engines_at_scale.py``).
     """
     successors: List[RingState] = []
 

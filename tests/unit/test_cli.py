@@ -193,8 +193,6 @@ def test_profile_with_experiments_emits_one_json_document(capsys):
         "E9_conjecture",
         "E10_scaling",
         "E11_fairness",
-        "E12_bmc",
-        "E13_ic3",
     }
     assert all(payload["experiments"].values())
     assert payload["total_seconds"] >= 0
@@ -321,9 +319,9 @@ def test_sat_engines_with_fairness_rejected(capsys):
 
 def test_sat_engines_with_experiments_rejected(capsys):
     assert main(["--engine", "bmc", "--experiments"]) == 2
-    assert "E12" in capsys.readouterr().err
+    assert "full-CTL" in capsys.readouterr().err
     assert main(["--engine", "ic3", "--experiments"]) == 2
-    assert "E13" in capsys.readouterr().err
+    assert "full-CTL" in capsys.readouterr().err
 
 
 def test_trace_flag_writes_perfetto_document_with_nested_spans(tmp_path):
@@ -407,10 +405,10 @@ def test_progress_flag_prints_heartbeats_for_experiments(capsys):
     per_experiment = [
         line for line in progress_lines if line.startswith("[progress] experiments ")
     ]
-    assert len(per_experiment) == 13  # one forced heartbeat per experiment
-    assert any("experiment=E13_ic3" in line for line in per_experiment)
+    assert len(per_experiment) == 11  # one forced heartbeat per experiment
+    assert any("experiment=E11_fairness" in line for line in per_experiment)
     # The engines' own outer loops heartbeat through the same reporter.
-    assert len(progress_lines) >= 13
+    assert len(progress_lines) >= 11
     from repro.obs.progress import get_reporter
 
     assert get_reporter() is None  # torn down with the run
@@ -646,7 +644,7 @@ def test_timeout_budget_reports_exhaustion_without_failing(capsys):
         (["--timeout", "0"], "--timeout"),
         (["--memory-limit", "0"], "--memory-limit"),
         (["--engine", "portfolio", "--fairness"], "fairness"),
-        (["--experiments", "--engine", "portfolio"], "E12/E13"),
+        (["--experiments", "--engine", "portfolio"], "full-CTL"),
         (["--experiments", "--buggy"], "--buggy"),
         (["--experiments", "--timeout", "30"], "--timeout"),
     ],

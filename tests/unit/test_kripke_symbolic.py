@@ -4,11 +4,15 @@ Covers the explicit binary encoding (`from_explicit` / `symbolic_structure`),
 the process-family bit-block allocator, and the direct symbolic token ring,
 which must represent exactly the structure `build_token_ring` builds
 explicitly — same reachable states, transitions, labels, and totality.
+Reachability by iterative squaring must produce the same canonical edge as
+frontier search in the same manager.
 """
 
 import pytest
 
+import repro.kripke.symbolic as symbolic_module
 from repro.bdd import BDDManager
+from repro.bdd.sanitize import assert_no_leaks
 from repro.errors import BDDError, StructureError
 from repro.kripke.structure import IndexedProp, KripkeStructure
 from repro.kripke.symbolic import (
@@ -17,6 +21,7 @@ from repro.kripke.symbolic import (
     symbolic_structure,
 )
 from repro.logic.ast import Atom, ExactlyOne, IndexedAtom, Next, TrueLiteral
+from repro.obs.trace import recording
 from repro.systems import counter, mutex, token_ring
 
 
@@ -281,3 +286,94 @@ def test_states_of_requires_decoder():
         structure.states_of(structure.domain)
     with pytest.raises(BDDError):
         structure.encode_state("x")
+
+
+# ---------------------------------------------------------------------------
+# Reachability by iterative squaring
+# ---------------------------------------------------------------------------
+
+
+def _frontier_reachable(structure):
+    """Plain frontier search from the initial state, in the structure's own manager."""
+    current = structure.function(structure.initial)
+    frontier = current
+    while not frontier.is_false:
+        frontier = structure.image_fn(frontier) & ~current
+        current = current | frontier
+    return current
+
+
+def _reachable_span(build):
+    with recording() as tracer:
+        structure = build()
+    (span,) = tracer.find("bdd.reachable")
+    return structure, span.attrs
+
+
+@pytest.mark.parametrize("buggy", [False, True], ids=["correct", "buggy"])
+@pytest.mark.parametrize("size", range(3, 15))
+def test_squared_counter_domain_is_the_frontier_edge(size, buggy):
+    structure, attrs = _reachable_span(lambda: counter.symbolic_counter(size, buggy=buggy))
+    # The path of 2^n − 2 steps outlasts the switch point from n = 5 on.
+    assert attrs["method"] == ("squaring" if size >= 5 else "frontier")
+    assert structure.domain == _frontier_reachable(structure).node
+
+
+def test_reachable_on_a_free_counter_squares_to_the_frontier_edge():
+    structure = counter.symbolic_counter(10, domain="free")
+    with recording() as tracer:
+        reached = structure.reachable()
+    (span,) = tracer.find("bdd.reachable")
+    assert span.attrs["method"] == "squaring"
+    assert span.attrs["squaring_steps"] > 0
+    assert reached == _frontier_reachable(structure).node
+    assert structure.count(reached) == 2 ** 10 - 1
+
+
+@pytest.mark.parametrize("buggy", [False, True], ids=["correct", "buggy"])
+@pytest.mark.parametrize(
+    "build", [token_ring.symbolic_token_ring, mutex.symbolic_mutex], ids=["ring-4", "mutex-4"]
+)
+def test_squaring_helper_matches_the_frontier_domain(build, buggy):
+    """Ring and mutex never switch, so call the helper directly."""
+    structure = build(4, buggy=buggy)
+    reached, steps = structure._squaring_reachable(structure.function(structure.initial))
+    assert reached is not None and steps > 0
+    assert reached.node == structure.domain
+
+
+@pytest.mark.parametrize(
+    "build,size",
+    [
+        (token_ring.symbolic_token_ring, 6),
+        (token_ring.symbolic_token_ring, 10),
+        (mutex.symbolic_mutex, 5),
+        (mutex.symbolic_mutex, 10),
+    ],
+)
+@pytest.mark.parametrize("buggy", [False, True], ids=["correct", "buggy"])
+def test_ring_and_mutex_builds_stay_on_frontier_search(build, size, buggy):
+    _, attrs = _reachable_span(lambda: build(size, buggy=buggy))
+    assert attrs["method"] == "frontier"
+    assert attrs["squaring_steps"] == 0
+
+
+def test_squaring_survives_gc_at_every_step_and_leaks_nothing(monkeypatch):
+    structure = counter.symbolic_counter(8, domain="free")
+    manager = structure.manager
+    expected = _frontier_reachable(structure)
+    monkeypatch.setattr(symbolic_module, "_heartbeat", lambda *a, **k: manager.collect())
+    gc_runs = manager.stats().gc_runs
+    with assert_no_leaks(manager):
+        reached, steps = structure._squaring_reachable(structure.function(structure.initial))
+        assert reached == expected
+        del reached
+    assert manager.stats().gc_runs - gc_runs == steps
+
+
+def test_squaring_past_the_node_cap_falls_back_to_frontier_search(monkeypatch):
+    monkeypatch.setattr(symbolic_module, "_SQUARING_NODE_CAP", 1)
+    structure, attrs = _reachable_span(lambda: counter.symbolic_counter(7))
+    assert attrs["method"] == "frontier"
+    assert structure.domain == _frontier_reachable(structure).node
+    assert structure.num_states == 2 ** 7 - 1
