@@ -15,7 +15,7 @@ The library provides, as reusable components:
 * the paper's **correspondence** relation (a block bisimulation with degrees),
   a decision algorithm, and the indexed correspondence / parameterized
   verification workflow (:mod:`repro.correspondence`);
-* **process families** and their compositions (:mod:`repro.network`);
+* **process templates** and their compositions (:mod:`repro.network`);
 * the paper's **example systems** — the Section 5 token ring, the Fig. 3.1 /
   Fig. 4.1 illustrations, and two additional identical-process families
   (:mod:`repro.systems`);

@@ -298,10 +298,6 @@ class BDDManager:
         self._ensure_var(var)
         return self._mk(var, 0, 1)
 
-    def nvar(self, var: int) -> int:
-        """The single-variable function that is true iff ``var`` is false."""
-        return self.var(var) ^ 1
-
     def cube(self, literals: Mapping[int, bool]) -> int:
         """The conjunction of literals ``{var: polarity}`` (a minterm over its keys)."""
         for var in literals:
@@ -642,8 +638,8 @@ class BDDManager:
         Conjunction and quantification are interleaved in one explicit-stack
         walk, so quantified variables are eliminated as soon as both operands
         have branched on them and the (often much larger) intermediate
-        ``u ∧ v`` is never materialised.  This is the workhorse of clustered
-        image and pre-image computation.
+        ``u ∧ v`` is never materialised.  This is the workhorse of image and
+        pre-image computation.
         """
         cube, cube_id = self._var_cube(variables)
         return self._relprod(u, v, cube, cube_id, 0)

@@ -1,4 +1,4 @@
-"""Symbolic (BDD-encoded) Kripke structures with clustered image computation.
+"""Symbolic (BDD-encoded) Kripke structures over current/next state bits.
 
 Where :class:`repro.kripke.compiled.CompiledKripkeStructure` freezes a
 structure into *explicit* integer-indexed arrays, this module encodes it into
@@ -19,18 +19,13 @@ enumerated.  Two construction paths are provided:
 
 Image computation
 -----------------
-The transition relation is kept *partitioned*.  Each part is either a single
-BDD or a sequence of **conjuncts**; parts are assembled into clusters — small
-single-BDD parts are OR-merged up to a node-size cap, conjunct-list parts
-become conjoin-and-quantify pipelines with an **early-quantification
-schedule**: walking the conjuncts in support order, a quantified variable is
-eliminated by the fused ``relprod`` as soon as no later conjunct mentions it,
-so the intermediate products stay small.  ``preimage`` additionally accepts a
-*constraint* set that is conjoined before the first relational product,
-confining the whole computation to a caller-supplied candidate set — only
-worthwhile when that set is small (a current-vars × next-vars conjunction
-multiplies BDD sizes under the interleaved order, which is why the EG
-fixpoint of :mod:`repro.mc.symbolic` measured faster without it).
+The transition relation is one BDD over current and next variables.  An
+image is one fused relational product ``∃x. S(x) ∧ R(x, x')`` followed by
+a rename of the next variables back to current ones; a pre-image renames
+the target to next variables, runs one relational product over them and
+conjoins the domain.  The family relations are small (ring-24's is about
+a thousand nodes), so the relation is never split into parts: partitioning
+only pays once a monolithic relation is too large to build.
 
 State bit ``k`` lives at BDD variable ``2k`` (its *current* copy) and
 variable ``2k + 1`` (its *next* copy).  The manager's order is fixed by
@@ -67,7 +62,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.bdd import BDDFunction, BDDManager
@@ -95,12 +89,6 @@ __all__ = [
     "symbolic_structure",
 ]
 
-#: Chunk size for partitioning the transition relation of explicit encodings.
-_EXPLICIT_PARTITION_CHUNK = 256
-
-#: Node-count cap when OR-merging small relation parts into one cluster.
-_CLUSTER_NODE_CAP = 2048
-
 #: Frontier rounds per state bit before reachability switches to iterative
 #: squaring: a family whose diameter exceeds a few times its bit count (the
 #: counter's single long path) is deep, one whose frontier search finishes
@@ -110,10 +98,6 @@ _SQUARING_AFTER_ROUNDS_PER_BIT = 4
 #: Node-count cap on the transition relation and every squared closure;
 #: past it reachability falls back to frontier search.
 _SQUARING_NODE_CAP = 20000
-
-#: A transition part as accepted by the constructor: one BDD edge, or a
-#: sequence of conjunct edges to be conjoined with early quantification.
-TransitionPart = Union[int, Sequence[int]]
 
 
 class ProcessSymmetry(NamedTuple):
@@ -129,54 +113,6 @@ class ProcessSymmetry(NamedTuple):
     sigma: Mapping[int, int]
 
 
-class _Cluster:
-    """One disjunct of the partitioned relation, with quantification schedules.
-
-    ``pre_schedule``/``img_schedule`` are sequences of ``(conjunct,
-    quantify_now)`` steps: conjoin the conjunct and eliminate exactly the
-    quantified variables no later conjunct mentions.
-    """
-
-    __slots__ = ("conjuncts", "pre_schedule", "img_schedule")
-
-    def __init__(
-        self,
-        conjuncts: Tuple[BDDFunction, ...],
-        pre_schedule: Tuple[Tuple[BDDFunction, Tuple[int, ...]], ...],
-        img_schedule: Tuple[Tuple[BDDFunction, Tuple[int, ...]], ...],
-    ) -> None:
-        self.conjuncts = conjuncts
-        self.pre_schedule = pre_schedule
-        self.img_schedule = img_schedule
-
-
-def _schedule(
-    conjuncts: Sequence[BDDFunction], quantify: Sequence[int]
-) -> Tuple[Tuple[BDDFunction, Tuple[int, ...]], ...]:
-    """Early-quantification schedule: eliminate each variable at its last mention.
-
-    The target of the relational product is assumed to mention every
-    quantified variable, so a variable can be eliminated at step ``i`` iff no
-    conjunct after ``i`` mentions it; variables no conjunct mentions at all
-    are eliminated in the first step.
-    """
-    supports = [conjunct.support() for conjunct in conjuncts]
-    quantify_set = set(quantify)
-    steps: List[Tuple[BDDFunction, Tuple[int, ...]]] = []
-    seen_later: set = set()
-    released: List[set] = []
-    for support in reversed(supports):
-        released.insert(0, (support - seen_later) & quantify_set)
-        seen_later |= support
-    unmentioned = quantify_set - seen_later
-    for index, conjunct in enumerate(conjuncts):
-        now = released[index]
-        if index == 0:
-            now = now | unmentioned
-        steps.append((conjunct, tuple(sorted(now))))
-    return tuple(steps)
-
-
 class SymbolicKripkeStructure:
     """A Kripke structure encoded as BDDs over current/next state bits.
 
@@ -187,11 +123,9 @@ class SymbolicKripkeStructure:
     num_bits:
         The number of state bits; current copies live at variables
         ``0, 2, …`` and next copies at ``1, 3, …``.
-    transition_parts:
-        The partitioned transition relation: a sequence of parts whose
-        disjunction is ``R`` as a function of current *and* next variables.
-        Each part is a single edge or a sequence of conjunct edges (clusters
-        with early-quantification scheduling — see the module docstring).
+    transition:
+        The transition relation ``R`` as one edge over current *and* next
+        variables.
     initial:
         The characteristic function of ``{s0}`` over current variables.
     domain:
@@ -217,7 +151,7 @@ class SymbolicKripkeStructure:
         self,
         manager: BDDManager,
         num_bits: int,
-        transition_parts: Sequence[TransitionPart],
+        transition: int,
         initial: int,
         domain: Optional[int],
         prop_nodes: Mapping[Label, int],
@@ -230,9 +164,9 @@ class SymbolicKripkeStructure:
     ) -> None:
         if num_bits < 1:
             raise StructureError("a symbolic structure needs at least one state bit")
-        # The whole encode (cluster build + reachable domain when needed)
-        # is one "build.encode" span, so traces show where setup time goes
-        # before any check starts.
+        # The whole encode (with the reachable domain when needed) is one
+        # "build.encode" span, so traces show where setup time goes before
+        # any check starts.
         with _obs_span("build.encode") as sp:
             self.manager = manager
             self._num_bits = num_bits
@@ -242,8 +176,7 @@ class SymbolicKripkeStructure:
             self._n2c = {2 * bit + 1: 2 * bit for bit in range(num_bits)}
             for var in self._current_vars + self._next_vars:
                 manager.var(var)
-            self._clusters = self._build_clusters(transition_parts)
-            self._transition_total: Optional[BDDFunction] = None
+            self._transition = BDDFunction(manager, transition)
             self._initial = BDDFunction(manager, initial)
             self._true = BDDFunction.true(manager)
             self._false = BDDFunction.false(manager)
@@ -264,69 +197,8 @@ class SymbolicKripkeStructure:
             self._symmetry = symmetry
             self._symmetry_reason: Optional[str] = None
             self._symmetry_checked = False
-            sp.set(name=name, bits=num_bits, clusters=len(self._clusters))
+            sp.set(name=name, bits=num_bits)
         _metrics.gauge("build.state_bits").set(num_bits)
-        _metrics.gauge("build.clusters").set(len(self._clusters))
-
-    # -- cluster construction ------------------------------------------------
-
-    def _build_clusters(
-        self, transition_parts: Sequence[TransitionPart]
-    ) -> Tuple[_Cluster, ...]:
-        manager = self.manager
-        singles: List[int] = []
-        multis: List[Tuple[int, ...]] = []
-        for part in transition_parts:
-            if isinstance(part, int):
-                conjuncts: Tuple[int, ...] = (part,)
-            else:
-                conjuncts = tuple(part)
-            if not conjuncts:
-                continue
-            if len(conjuncts) > 1:
-                # Adaptive flattening: a conjunct part whose conjunction stays
-                # small is cheaper as one BDD (one fused relational product
-                # instead of a pipeline); parts that would blow past the cap
-                # keep their conjoin-and-quantify schedule.
-                flat = conjuncts[0]
-                for conjunct in conjuncts[1:]:
-                    flat = manager.apply_and(flat, conjunct)
-                    if flat != 0 and manager.node_count(flat) > _CLUSTER_NODE_CAP:
-                        flat = None
-                        break
-                if flat is None:
-                    multis.append(conjuncts)
-                    continue
-                conjuncts = (flat,)
-            if conjuncts[0] != 0:
-                singles.append(conjuncts[0])
-        # OR-merge small single-BDD parts into clusters bounded by the node
-        # cap, ordered by support so related parts land together.
-        singles.sort(key=lambda edge: tuple(sorted(manager.support(edge))))
-        merged: List[int] = []
-        accumulator = 0
-        for edge in singles:
-            candidate = manager.apply_or(accumulator, edge)
-            if accumulator != 0 and manager.node_count(candidate) > _CLUSTER_NODE_CAP:
-                merged.append(accumulator)
-                accumulator = edge
-            else:
-                accumulator = candidate
-        if accumulator != 0:
-            merged.append(accumulator)
-        clusters: List[_Cluster] = []
-        for conjunct_edges in [(edge,) for edge in merged] + multis:
-            conjuncts = tuple(
-                BDDFunction(manager, edge) for edge in conjunct_edges
-            )
-            clusters.append(
-                _Cluster(
-                    conjuncts,
-                    _schedule(conjuncts, self._next_vars),
-                    _schedule(conjuncts, self._current_vars),
-                )
-            )
-        return tuple(clusters)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -346,11 +218,6 @@ class SymbolicKripkeStructure:
         return self._current_vars
 
     @property
-    def next_vars(self) -> Tuple[int, ...]:
-        """The BDD variables carrying the next-state bits (``1, 3, 5, …``)."""
-        return self._next_vars
-
-    @property
     def initial(self) -> int:
         """The edge encoding ``{s0}``."""
         return self._initial.node
@@ -359,14 +226,6 @@ class SymbolicKripkeStructure:
     def domain(self) -> int:
         """The edge encoding the state set ``S``."""
         return self._domain.node
-
-    @property
-    def transition_parts(self) -> Tuple[Tuple[int, ...], ...]:
-        """The clustered transition relation, one conjunct tuple per cluster."""
-        return tuple(
-            tuple(conjunct.node for conjunct in cluster.conjuncts)
-            for cluster in self._clusters
-        )
 
     @property
     def index_values(self) -> Optional[FrozenSet[int]]:
@@ -384,22 +243,8 @@ class SymbolicKripkeStructure:
 
     @property
     def transition(self) -> int:
-        """The monolithic transition relation (the disjunction of the clusters)."""
-        if self._transition_total is None:
-            self._transition_total = self._monolithic_transition()
-        return self._transition_total.node
-
-    def _monolithic_transition(self) -> BDDFunction:
-        """The :attr:`transition` memo's value, reused if built or built afresh."""
-        if self._transition_total is not None:
-            return self._transition_total
-        total = self._false
-        for cluster in self._clusters:
-            conjunction = self._true
-            for conjunct in cluster.conjuncts:
-                conjunction = conjunction & conjunct
-            total = total | conjunction
-        return total
+        """The edge encoding the transition relation over current and next variables."""
+        return self._transition.node
 
     # -- process symmetry ---------------------------------------------------------
 
@@ -452,10 +297,7 @@ class SymbolicKripkeStructure:
             image = var_map.get(var, var)
             if image % 2 or var_map.get(var + 1, var + 1) != image + 1:
                 return "bad_var_map"
-        # Not memoised here: a check must not leave the structure holding
-        # new references (the leak sanitizer audits exactly that).
-        transition = self._monolithic_transition()
-        if transition.permute(var_map) != transition:
+        if self._transition.permute(var_map) != self._transition:
             return "transition_not_invariant"
         if self._domain.permute(var_map) != self._domain:
             return "domain_not_invariant"
@@ -479,7 +321,7 @@ class SymbolicKripkeStructure:
     def num_transitions(self) -> int:
         """``|R ∩ (S × S)|`` via satisfy-count over current and next variables."""
         domain = self._domain
-        pairs = self.function(self.transition) & domain & domain.rename(self._c2n)
+        pairs = self._transition & domain & domain.rename(self._c2n)
         return pairs.sat_count(self._current_vars + self._next_vars)
 
     def count(self, node: int) -> int:
@@ -488,50 +330,23 @@ class SymbolicKripkeStructure:
 
     # -- images ------------------------------------------------------------------
 
-    def preimage_fn(
-        self, target: BDDFunction, constraint: Optional[BDDFunction] = None
-    ) -> BDDFunction:
+    def preimage_fn(self, target: BDDFunction) -> BDDFunction:
         """States of ``S`` with a successor in ``target`` (the EX pre-image).
 
         ``target`` must be a function of current variables only; it is
-        renamed to next variables and each cluster runs its conjoin-and-
-        quantify schedule.  ``constraint`` (over current variables) is
-        conjoined before the first relational product of every cluster,
-        confining the whole computation to it; the result then equals
-        ``constraint ∧ preimage(target)``.  Only profitable when the
-        constraint is *small* — see the module docstring.
+        renamed to next variables and quantified out of its conjunction
+        with the relation by one relational product.
         """
         renamed = target.rename(self._c2n)
-        if constraint is not None:
-            renamed = renamed & constraint
-        total = self._false
-        for cluster in self._clusters:
-            accumulator = renamed
-            for conjunct, quantify_now in cluster.pre_schedule:
-                accumulator = accumulator.relprod(conjunct, quantify_now)
-                if accumulator.is_false:
-                    break
-            total = total | accumulator
-        return total & self._domain
+        return renamed.relprod(self._transition, self._next_vars) & self._domain
 
-    def preimage(self, node: int, constraint: Optional[int] = None) -> int:
+    def preimage(self, node: int) -> int:
         """Raw-edge convenience wrapper of :meth:`preimage_fn`."""
-        return self.preimage_fn(
-            self.function(node),
-            None if constraint is None else self.function(constraint),
-        ).node
+        return self.preimage_fn(self.function(node)).node
 
     def image_fn(self, source: BDDFunction) -> BDDFunction:
         """Successors of the states in ``source`` (post-image), over current variables."""
-        total = self._false
-        for cluster in self._clusters:
-            accumulator = source
-            for conjunct, quantify_now in cluster.img_schedule:
-                accumulator = accumulator.relprod(conjunct, quantify_now)
-                if accumulator.is_false:
-                    break
-            total = total | accumulator
-        return total.rename(self._n2c)
+        return source.relprod(self._transition, self._current_vars).rename(self._n2c)
 
     def image(self, node: int) -> int:
         """Raw-edge convenience wrapper of :meth:`image_fn`."""
@@ -590,7 +405,7 @@ class SymbolicKripkeStructure:
         scratch_current = tuple(base + 3 * bit for bit in bits)
         mid = tuple(base + 3 * bit + 1 for bit in bits)
 
-        relation = self._monolithic_transition()
+        relation = self._transition
         if self._domain is not None:
             relation = relation & self._domain.rename(self._c2n)
         if relation.size > _SQUARING_NODE_CAP:
@@ -740,11 +555,10 @@ class SymbolicKripkeStructure:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         descriptor = self._name or "SymbolicKripkeStructure"
-        return "<Symbolic %s: %d bits, %d states, %d transition clusters>" % (
+        return "<Symbolic %s: %d bits, %d states>" % (
             descriptor,
             self._num_bits,
             self.num_states,
-            len(self._clusters),
         )
 
     # -- construction from an explicit structure ------------------------------------
@@ -777,17 +591,14 @@ class SymbolicKripkeStructure:
         for cube in current_cubes:
             domain = manager.apply_or(domain, cube)
 
-        parts: List[int] = []
-        for start in range(0, n, _EXPLICIT_PARTITION_CHUNK):
-            part = 0
-            for index in range(start, min(start + _EXPLICIT_PARTITION_CHUNK, n)):
-                targets = 0
-                for target in compiled.successors_of(index):
-                    targets = manager.apply_or(targets, next_cubes[target])
-                part = manager.apply_or(
-                    part, manager.apply_and(current_cubes[index], targets)
-                )
-            parts.append(part)
+        transition = 0
+        for index in range(n):
+            targets = 0
+            for target in compiled.successors_of(index):
+                targets = manager.apply_or(targets, next_cubes[target])
+            transition = manager.apply_or(
+                transition, manager.apply_and(current_cubes[index], targets)
+            )
 
         prop_nodes: Dict[Label, int] = {}
         for index, state in enumerate(compiled.states):
@@ -807,7 +618,7 @@ class SymbolicKripkeStructure:
         return cls(
             manager,
             bits,
-            parts,
+            transition,
             current_cubes[compiled.initial_index],
             domain,
             prop_nodes,
@@ -897,11 +708,6 @@ class ProcessFamilyEncoding:
     def num_bits(self) -> int:
         """Total state bits of the family encoding."""
         return len(self._indices) * self._bits_per_process
-
-    @property
-    def bits_per_process(self) -> int:
-        """State bits per process (``ceil(log2(len(parts)))``)."""
-        return self._bits_per_process
 
     def _block(self, index: int) -> int:
         try:

@@ -11,15 +11,14 @@ recovers unbounded **proofs** for inductive invariants.
 Encoding
 --------
 The checker unrolls the transition relation of a
-:class:`~repro.kripke.symbolic.SymbolicKripkeStructure` — the same clustered
-BDD parts, over the same stable variable ids, that ``engine="bdd"`` uses —
-into CNF.  Time frame ``t`` owns one solver variable per state bit; a BDD
-over current/next variables is lowered by :func:`repro.sat.cnf.tseitin_bdd`
+:class:`~repro.kripke.symbolic.SymbolicKripkeStructure` — the same BDD,
+over the same stable variable ids, that ``engine="bdd"`` uses — into CNF.
+Time frame ``t`` owns one solver variable per state bit; a BDD over
+current/next variables is lowered by :func:`repro.sat.cnf.tseitin_bdd`
 with current bit ``k`` mapped to frame ``t`` and next bit ``k`` to frame
 ``t + 1`` (one definition variable and four clauses per BDD node, complement
-edges free).  Clusters stay factored: each conjunct tuple becomes a
-conjunction of Tseitin outputs, the clusters' disjunction is asserted per
-step.  Everything is **incremental**: one
+edges free), and the relation's output literal is asserted once per step.
+Everything is **incremental**: one
 :class:`~repro.sat.solver.Solver` per unrolling, frames appended as the
 bound grows, per-depth questions asked through assumptions, and every
 learned clause carried from bound to bound.
@@ -176,7 +175,7 @@ class _Unroller:
 
         The edge may mention current *and* next variables (next bits land in
         frame ``step + 1``).  Encodings are cached per step, so re-asserting
-        the same relation parts or properties at one step is free.
+        the relation or a property at one step is free.
         """
         self.frame(step)
         if edge not in self._pinned:
@@ -204,12 +203,8 @@ class _Unroller:
         start = self._steps
         with _obs_span("bmc.unroll", from_step=start, to_step=steps):
             while self._steps < steps:
-                step = self._steps
-                cluster_literals = []
-                for conjuncts in self.symbolic.transition_parts:
-                    conjunct_literals = [self.literal(edge, step) for edge in conjuncts]
-                    cluster_literals.append(self.solver.gate_and(conjunct_literals))
-                self.solver.add_clause((self.solver.gate_or(cluster_literals),))
+                transition = self.literal(self.symbolic.transition, self._steps)
+                self.solver.add_clause((transition,))
                 self._steps += 1
             _metrics.counter("bmc.unrolled_steps", engine="bmc").inc(steps - start)
 
@@ -323,7 +318,7 @@ class BoundedModelChecker:
 
     @property
     def symbolic(self) -> SymbolicKripkeStructure:
-        """The BDD encoding whose clustered relation parts are unrolled."""
+        """The BDD encoding whose transition relation is unrolled."""
         return self._symbolic
 
     @property

@@ -184,10 +184,8 @@ class _TransitionTemplate:
 
     Solver variables ``1 … n`` carry the current state bits, ``n+1 … 2n``
     the next state bits (``n = num_bits``); Tseitin definition variables
-    come after.  Every BDD edge lowered here is pinned through a refcounted
-    handle so the node-indexed caches survive garbage collection, exactly
-    as in the BMC unroller.  The clauses are loaded into one template
-    solver, which is never solved; :meth:`new_solver` hands out
+    come after.  The clauses are loaded into one template solver, which is
+    never solved; :meth:`new_solver` hands out
     :meth:`~repro.sat.solver.Solver.clone` copies of it.
     """
 
@@ -201,18 +199,8 @@ class _TransitionTemplate:
             var_map = dict(self.current_map)
             for bit in range(self.num_bits):
                 var_map[2 * bit + 1] = self.num_bits + bit + 1
-            self._pinned: List[BDDFunction] = []
-            cache: Dict[int, int] = {}
-            cluster_literals = []
-            for conjuncts in symbolic.transition_parts:
-                conjunct_literals = []
-                for edge in conjuncts:
-                    self._pinned.append(symbolic.function(edge))
-                    conjunct_literals.append(
-                        tseitin_bdd(symbolic.manager, edge, var_map, cnf, cache)
-                    )
-                cluster_literals.append(cnf.gate_and(conjunct_literals))
-            cnf.add_clause((cnf.gate_or(cluster_literals),))
+            transition = tseitin_bdd(symbolic.manager, symbolic.transition, var_map, cnf)
+            cnf.add_clause((transition,))
             self._solver = Solver()
             for _ in range(cnf.num_vars):
                 self._solver.new_var()
@@ -317,8 +305,8 @@ class _IC3Run:
         ``powers[j-1][b]`` is the state bit ``ρ^j`` sends bit ``b`` to (state
         bit ``b`` is BDD variable ``2b``; bits outside the process blocks,
         such as the mutex lock, stay fixed).  ``verified_symmetry`` proves
-        ``ρ`` fixes the disjunction of the clustered transition parts, which
-        is exactly the relation :class:`_TransitionTemplate` lowers to CNF.
+        ``ρ`` fixes the transition relation, which is exactly the relation
+        :class:`_TransitionTemplate` lowers to CNF.
         """
         symmetry = self.symbolic.verified_symmetry()
         if symmetry is None:
@@ -852,7 +840,7 @@ class IC3ModelChecker:
 
     @property
     def symbolic(self) -> SymbolicKripkeStructure:
-        """The BDD encoding whose clustered relation parts are CNF-lowered."""
+        """The BDD encoding whose transition relation is CNF-lowered."""
         return self._symbolic
 
     @property

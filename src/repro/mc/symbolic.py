@@ -12,17 +12,19 @@ large to construct — see
 :func:`repro.systems.token_ring.symbolic_token_ring` and the extended
 explosion experiment.
 
-The fixpoints drive the clustered pre-image of :mod:`repro.kripke.symbolic`
-with the cheapest set that makes progress:
+The fixpoints drive the pre-image of :mod:`repro.kripke.symbolic` (one
+relational product with the transition-relation BDD) with the cheapest set
+that makes progress:
 
-* ``EX f``   — one clustered pre-image;
+* ``EX f``   — one pre-image;
 * ``E[f U g]`` — least fixpoint iterated on the frontier: each round's
   pre-image only processes the states added in the previous round;
 * ``EG f``  — the classic greatest fixpoint ``νZ. f ∧ EX Z``, *deliberately*
   iterated on the full (slowly shrinking) set: successive rounds re-hit
   almost every relational-product subproblem in the bounded caches, which
-  makes the iteration incremental — a removal-propagation variant driving
-  the constrained pre-image was measured 5× slower here (see :meth:`_eg`).
+  makes the iteration incremental — a removal-propagation variant
+  confining each pre-image to the candidate set was measured 5× slower
+  here (see :meth:`_eg`).
 
 Under a :class:`~repro.mc.fairness.FairnessConstraint` the fair ``EG`` is
 the Emerson–Lei nested μ/ν fixpoint
@@ -426,8 +428,8 @@ class SymbolicCTLModelChecker:
         slowly between rounds, so virtually every relational-product
         subproblem of round ``k`` is a cache hit in round ``k + 1`` — the
         bounded caches (with oldest-half eviction) make the classic
-        iteration incremental.  A removal-propagation variant driving the
-        constrained pre-image was measured 5× slower here: its per-round
+        iteration incremental.  A removal-propagation variant confining each
+        pre-image to the candidate set was measured 5× slower here: its per-round
         frontier targets are fresh BDDs that defeat exactly that reuse.
         """
         symbolic = self._symbolic

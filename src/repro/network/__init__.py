@@ -1,32 +1,14 @@
-"""Process templates, families of identical processes, and their compositions."""
+"""Process templates and their compositions."""
 
 from repro.network.composition import GlobalRule, GlobalState, SharedVariableComposition
-from repro.network.family import ProcessFamily
 from repro.network.free_product import free_product
 from repro.network.process import LocalTransition, ProcessTemplate
-from repro.network.topology import (
-    complete_topology,
-    left_neighbor,
-    line_topology,
-    right_neighbor,
-    ring_distance_left,
-    ring_topology,
-    star_topology,
-)
 
 __all__ = [
     "ProcessTemplate",
     "LocalTransition",
-    "ProcessFamily",
     "SharedVariableComposition",
     "GlobalRule",
     "GlobalState",
     "free_product",
-    "ring_topology",
-    "line_topology",
-    "star_topology",
-    "complete_topology",
-    "left_neighbor",
-    "right_neighbor",
-    "ring_distance_left",
 ]

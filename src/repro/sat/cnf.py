@@ -193,8 +193,8 @@ def tseitin_bdd(
     variable and four clauses are emitted per BDD node; complement edges cost
     nothing — they negate the returned literal.  ``cache`` (node → definition
     literal) may be shared across calls that use the *same* ``var_literals``
-    mapping, so the shared sub-DAGs of a clustered transition relation are
-    encoded once per time frame.
+    mapping, so a node shared by several edges lowered into the same time
+    frame is encoded once.
     """
     if cache is None:
         cache = {}

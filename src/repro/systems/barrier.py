@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.errors import StructureError
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.logic.ast import Formula
 from repro.logic.builders import AF, AG, AU, iatom, implies, index_forall
@@ -50,7 +51,7 @@ def barrier_template() -> ProcessTemplate:
 def barrier_composition(size: int) -> SharedVariableComposition:
     """The lazy composition of ``size`` workers with the broadcast release rule."""
     if size < 1:
-        raise ValueError("the barrier needs at least one worker")
+        raise StructureError("the barrier needs at least one worker")
 
     def all_waiting(_shared, locals_tuple) -> bool:
         return all(local == "waiting" for local in locals_tuple)

@@ -141,15 +141,15 @@ def build_counter(
 def symbolic_counter(size: int, buggy: bool = False, domain: str = "reachable"):
     """Encode the counter directly as binary decision diagrams.
 
-    One state bit per process; the ripple-increment contributes one relation
-    part per carry length ``k`` (each touching only bits ``1 … k``), plus
-    the saturation self-loop (or the seeded wrap).  ``domain="reachable"``
-    runs the symbolic reachability fixpoint — frontier search, switching to
-    iterative squaring after ``4·size`` images, so about ``size`` squaring
-    steps cover the ``2^size − 2`` path — while ``domain="free"`` skips it
-    for the SAT engines.  No candidate process symmetry is declared: the
-    carry ripple orders the bits, and the property family has no index
-    quantifier to reduce.
+    One state bit per process; the ripple-increment contributes one disjunct
+    per carry length ``k`` (each touching only bits ``1 … k``), plus the
+    saturation self-loop (or the seeded wrap), all OR-ed into one relation
+    BDD.  ``domain="reachable"`` runs the symbolic reachability fixpoint —
+    frontier search, switching to iterative squaring after ``4·size``
+    images, so about ``size`` squaring steps cover the ``2^size − 2`` path —
+    while ``domain="free"`` skips it for the SAT engines.  No candidate
+    process symmetry is declared: the carry ripple orders the bits, and the
+    property family has no index quantifier to reduce.
     """
     if size < 1:
         raise StructureError("the counter needs at least one bit-process")
@@ -160,11 +160,11 @@ def symbolic_counter(size: int, buggy: bool = False, domain: str = "reachable"):
     manager = BDDManager()
     indices = tuple(range(1, size + 1))
     encoding = ProcessFamilyEncoding(manager, indices, tuple(_PART_PROPS))
-    land_ = manager.apply_and
+    land_, lor_ = manager.apply_and, manager.apply_or
 
-    parts: List[object] = []
+    relation = 0
 
-    # Ripple-increment, one part per carry length k: bits 1 … k-1 flip
+    # Ripple-increment, one disjunct per carry length k: bits 1 … k-1 flip
     # O -> Z, bit k flips Z -> O, everything above is framed.
     for k in indices:
         rule = land_(
@@ -176,7 +176,7 @@ def symbolic_counter(size: int, buggy: bool = False, domain: str = "reachable"):
                 rule,
                 land_(encoding.current(lower, "O"), encoding.next(lower, "Z")),
             )
-        parts.append(rule)
+        relation = lor_(relation, rule)
 
     # Saturation (or the seeded wrap) at all ones.
     all_ones = encoding.state_cube({process: "O" for process in indices})
@@ -184,9 +184,9 @@ def symbolic_counter(size: int, buggy: bool = False, domain: str = "reachable"):
         wrap = all_ones
         for process in indices:
             wrap = land_(wrap, encoding.next(process, "Z"))
-        parts.append(wrap)
+        relation = lor_(relation, wrap)
     else:
-        parts.append(land_(all_ones, encoding.frame([])))
+        relation = lor_(relation, land_(all_ones, encoding.frame([])))
 
     prop_nodes = encoding.prop_nodes(_PART_PROPS)
 
@@ -203,7 +203,7 @@ def symbolic_counter(size: int, buggy: bool = False, domain: str = "reachable"):
     return SymbolicKripkeStructure(
         manager,
         encoding.num_bits,
-        parts,
+        relation,
         initial,
         domain_node,
         prop_nodes,

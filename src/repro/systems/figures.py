@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.errors import StructureError
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import IndexedProp, KripkeStructure
 from repro.logic.ast import Formula
@@ -134,7 +135,7 @@ def circulating_token_ring(size: int) -> IndexedKripkeStructure:
     operator can count processes.
     """
     if size < 1:
-        raise ValueError("the ring needs at least one process")
+        raise StructureError("the ring needs at least one process")
     states = list(range(1, size + 1))
     transitions = [(holder, holder % size + 1) for holder in states]
     labeling = {holder: {IndexedProp("t", holder)} for holder in states}

@@ -35,7 +35,7 @@ Three encodings are provided, mirroring the token ring:
   ``domain="free"``, for both SAT engines (the CNF unrolling of the
   bounded model checker and the IC3/PDR frames);
 * the CNF form is *derived*: :mod:`repro.mc.bmc` and :mod:`repro.mc.ic3`
-  Tseitin-encode the symbolic encoding's clustered relation parts, so the
+  Tseitin-encode the symbolic encoding's relation BDD, so the
   very same stable variable ids feed all five engines.
 
 The safety and liveness formulas (:func:`mutex_safety`,
@@ -156,8 +156,8 @@ def symbolic_mutex(size: int, buggy: bool = False, domain: str = "reachable"):
     """Encode the protocol directly as binary decision diagrams.
 
     Two state bits per process (its part) plus one extra bit pair for the
-    shared lock, appended after the process blocks; the three rules become
-    one relation part each.  As with
+    shared lock, appended after the process blocks; the three rules are
+    OR-ed into one relation BDD.  As with
     :func:`~repro.systems.token_ring.symbolic_token_ring`,
     ``domain="reachable"`` (the default) restricts the state set by a
     symbolic reachability fixpoint, while ``domain="free"`` skips it — the
@@ -174,25 +174,21 @@ def symbolic_mutex(size: int, buggy: bool = False, domain: str = "reachable"):
     manager = BDDManager()
     indices = tuple(range(1, size + 1))
     encoding = ProcessFamilyEncoding(manager, indices, tuple(_PART_PROPS))
-    land_, neg = manager.apply_and, manager.negate
+    land_, lor_, neg = manager.apply_and, manager.apply_or, manager.negate
 
     lock_bit = encoding.num_bits  # state-bit index of the shared lock
     lock_now = manager.var(2 * lock_bit)
     lock_next = manager.var(2 * lock_bit + 1)
     lock_unchanged = manager.apply("iff", lock_now, lock_next)
 
-    parts: List[object] = [
-        # Rule 1 — request: I -> R, lock untouched.
-        (encoding.local_move("I", "R"), lock_unchanged),
-        # Rule 2 — acquire: R -> C sets the lock; the guard ¬lock is the
-        # test-and-set check the seeded bug removes.
-        (
-            encoding.local_move("R", "C"),
-            lock_next if buggy else land_(neg(lock_now), lock_next),
-        ),
-        # Rule 3 — release: C -> I clears the lock.
-        (encoding.local_move("C", "I"), neg(lock_next)),
-    ]
+    # Rule 1 — request: I -> R, lock untouched.
+    relation = land_(encoding.local_move("I", "R"), lock_unchanged)
+    # Rule 2 — acquire: R -> C sets the lock; the guard ¬lock is the
+    # test-and-set check the seeded bug removes.
+    acquire_lock = lock_next if buggy else land_(neg(lock_now), lock_next)
+    relation = lor_(relation, land_(encoding.local_move("R", "C"), acquire_lock))
+    # Rule 3 — release: C -> I clears the lock.
+    relation = lor_(relation, land_(encoding.local_move("C", "I"), neg(lock_next)))
 
     prop_nodes = encoding.prop_nodes(_PART_PROPS)
     prop_nodes[LOCK_PROP] = lock_now
@@ -213,7 +209,7 @@ def symbolic_mutex(size: int, buggy: bool = False, domain: str = "reachable"):
     return SymbolicKripkeStructure(
         manager,
         encoding.num_bits + 1,
-        parts,
+        relation,
         initial,
         domain_node,
         prop_nodes,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.errors import StructureError
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import IndexedProp
 from repro.logic.ast import Formula
@@ -67,7 +68,7 @@ def round_robin_template(size: int) -> ProcessTemplate:
 def round_robin_composition(size: int) -> SharedVariableComposition:
     """The lazy composition of ``size`` round-robin processes (token initially at process 1)."""
     if size < 1:
-        raise ValueError("the scheduler needs at least one process")
+        raise StructureError("the scheduler needs at least one process")
 
     def shared_labeler(shared):
         return {IndexedProp("t", shared)}

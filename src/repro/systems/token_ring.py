@@ -291,18 +291,11 @@ def symbolic_token_ring(size: int, buggy: bool = False, domain: str = "reachable
     are written down as BDD relations over those bits — the explicit global
     state graph is **never built**, which is what lets the symbolic engine
     check ring sizes the explicit engines cannot reach.  Rule 2 (token
-    transfer to the closest delayed left neighbour) contributes one relation
-    part per potential holder ``j``: the disjunct for receiver ``i`` carries
-    the ``cln`` side condition that no process strictly between ``j`` and
-    ``i`` (walking left from ``j``) is delayed.
-
-    Parts with a natural conjunctive factoring are handed to the symbolic
-    structure as *conjunct lists* so its clustered image computation can
-    conjoin-and-quantify them with early-quantification scheduling: rule 2's
-    per-holder guard/effect on the holder is factored out of the receiver
-    disjunction, and rule 4's global "nobody is delayed" side condition is
-    its own conjunct — conjoining these small factors first keeps the
-    intermediate products of each relational product small.
+    transfer to the closest delayed left neighbour) contributes one disjunct
+    per potential holder ``j``: the disjunct for receiver ``i`` carries the
+    ``cln`` side condition that no process strictly between ``j`` and ``i``
+    (walking left from ``j``) is delayed.  The rules are OR-ed into one
+    relation BDD, which stays small (about a thousand nodes at r = 24).
 
     The returned :class:`~repro.kripke.symbolic.SymbolicKripkeStructure`
     restricts its state set to the states reachable from ``s_r^0`` (computed
@@ -336,11 +329,11 @@ def symbolic_token_ring(size: int, buggy: bool = False, domain: str = "reachable
     land, lor, neg = manager.apply_and, manager.apply_or, manager.negate
 
     # Rule 1: a neutral process becomes delayed.
-    parts: List[object] = [encoding.local_move("N", "D")]
+    relation = encoding.local_move("N", "D")
 
     # Rule 2: the holder j ∈ T ∪ C hands the token to i = cln(j) ∈ D; j
-    # becomes neutral and i enters its critical region.  One part per j,
-    # factored as (holder guard ∧ holder effect) ∧ (receiver disjunction).
+    # becomes neutral and i enters its critical region.  One disjunct per
+    # j: (holder guard ∧ holder effect) ∧ (receiver disjunction).
     for holder in indices:
         holder_core = land(
             encoding.current_in(holder, ("T", "C")), encoding.next(holder, "N")
@@ -359,23 +352,21 @@ def symbolic_token_ring(size: int, buggy: bool = False, domain: str = "reachable
             nobody_between_delayed = land(
                 nobody_between_delayed, neg(encoding.current(candidate, "D"))
             )
-        if handoffs != 0:
-            parts.append((holder_core, handoffs))
+        relation = lor(relation, land(holder_core, handoffs))
 
     # Rule 3: the process in T enters its critical region.
-    parts.append(encoding.local_move("T", "C"))
+    relation = lor(relation, encoding.local_move("T", "C"))
 
     # Seeded bug (buggy=True): a delayed process enters its critical region
     # directly, duplicating the token — cf. ring_successors(buggy=True).
     if buggy:
-        parts.append(encoding.local_move("D", "C"))
+        relation = lor(relation, encoding.local_move("D", "C"))
 
-    # Rule 4: the process in C returns to T, but only when nobody is delayed;
-    # the global side condition is a separate conjunct.
+    # Rule 4: the process in C returns to T, but only when nobody is delayed.
     nobody_delayed = 1
     for process in indices:
         nobody_delayed = land(nobody_delayed, neg(encoding.current(process, "D")))
-    parts.append((nobody_delayed, encoding.local_move("C", "T")))
+    relation = lor(relation, land(nobody_delayed, encoding.local_move("C", "T")))
 
     # The labelling L_r as characteristic functions (cf. state_label).
     prop_nodes = encoding.prop_nodes(_PART_PROPS)
@@ -400,7 +391,7 @@ def symbolic_token_ring(size: int, buggy: bool = False, domain: str = "reachable
     return SymbolicKripkeStructure(
         manager,
         encoding.num_bits,
-        parts,
+        relation,
         initial,
         domain_node,
         prop_nodes,

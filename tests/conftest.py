@@ -68,7 +68,7 @@ def ring_with_candidate():
         return SymbolicKripkeStructure(
             structure.manager,
             structure.num_bits,
-            structure.transition_parts,
+            structure.transition,
             structure.initial,
             structure.domain,
             props,

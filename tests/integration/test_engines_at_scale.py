@@ -6,9 +6,10 @@ the SAT engines refute the seeded bugs and prove the invariants they can,
 next to the BDD engine on the same families.  Exact counts (``r·2^r``
 reachable states, counterexample depths, "proved by 1-induction"), the
 peak-live-node ceilings, the r = 12 work ceilings, the IC3 work ceilings,
-the counter-18 peak ceiling and the node-table pins are deterministic, so
-they gate regressions without timing anything; wall time is measured by
-the repo benchmark (``perfbench/run.py``).
+the counter-18 peak ceiling, the node-table pins and the relation
+fingerprints are deterministic, so they gate regressions without timing
+anything; wall time is measured by the repo benchmark
+(``perfbench/run.py``).
 """
 
 import pytest
@@ -169,9 +170,9 @@ def test_ic3_symmetry_work_ceilings(name):
 #: change that keeps the work the same keeps them all, and so does a
 #: relabelling of the variables that keeps their order.
 _NODE_TABLE_PINS = {
-    "ring-6": (lambda: token_ring.symbolic_token_ring(6), (4358, 7124, 3613, 3613)),
-    "mutex-5": (lambda: mutex.symbolic_mutex(5), (1252, 2418, 1219, 1219)),
-    "counter-8": (lambda: counter.symbolic_counter(8), (654, 2895, 1572, 1572)),
+    "ring-6": (lambda: token_ring.symbolic_token_ring(6), (5688, 7252, 3677, 3677)),
+    "mutex-5": (lambda: mutex.symbolic_mutex(5), (1712, 2418, 1219, 1219)),
+    "counter-8": (lambda: counter.symbolic_counter(8), (756, 2895, 1572, 1572)),
 }
 
 
@@ -189,6 +190,81 @@ def test_node_table_pins(name):
         manager.stats().peak_live_nodes,
     )
     assert table == pins
+
+
+#: Each direct encoding's relation, domain and initial state by function:
+#: ``(node_count(T), |T| over current+next vars, node_count(D), |D| over
+#: current vars, node_count(Init))``.  Canonical BDDs under the fixed
+#: variable order make these independent of construction order and node
+#: ids, so a change to how the relation is assembled must keep them all.
+_RELATION_FINGERPRINTS = {
+    "ring-3-correct-reachable": (77, 165, 4, 24, 6),
+    "ring-3-correct-free": (77, 165, 0, 64, 6),
+    "ring-3-buggy-reachable": (79, 213, 3, 56, 6),
+    "ring-3-buggy-free": (79, 213, 0, 64, 6),
+    "ring-6-correct-reachable": (218, 23118, 10, 384, 12),
+    "ring-6-correct-free": (218, 23118, 0, 4096, 12),
+    "ring-6-buggy-reachable": (220, 29262, 6, 4032, 12),
+    "ring-6-buggy-free": (220, 29262, 0, 4096, 12),
+    "ring-10-correct-reachable": (406, 10288930, 18, 10240, 20),
+    "ring-10-correct-free": (406, 10288930, 0, 1048576, 20),
+    "ring-10-buggy-reachable": (408, 12910370, 10, 1047552, 20),
+    "ring-10-buggy-free": (408, 12910370, 0, 1048576, 20),
+    "ring-14-correct-reachable": (594, 3735775862, 26, 229376, 28),
+    "ring-14-correct-free": (594, 3735775862, 0, 268435456, 28),
+    "ring-14-buggy-reachable": (596, 4675299958, 14, 268419072, 28),
+    "ring-14-buggy-free": (596, 4675299958, 0, 268435456, 28),
+    "mutex-3-correct-reachable": (67, 240, 12, 20, 7),
+    "mutex-3-correct-free": (67, 240, 0, 128, 7),
+    "mutex-3-buggy-reachable": (66, 288, 17, 45, 7),
+    "mutex-3-buggy-free": (66, 288, 0, 128, 7),
+    "mutex-5-correct-reachable": (123, 6400, 20, 112, 11),
+    "mutex-5-correct-free": (123, 6400, 0, 2048, 11),
+    "mutex-5-buggy-reachable": (122, 7680, 31, 453, 11),
+    "mutex-5-buggy-free": (122, 7680, 0, 2048, 11),
+    "mutex-12-correct-reachable": (319, 251658240, 48, 28672, 25),
+    "mutex-12-correct-free": (319, 251658240, 0, 33554432, 25),
+    "mutex-12-buggy-reachable": (318, 301989888, 80, 1058785, 25),
+    "mutex-12-buggy-free": (318, 301989888, 0, 33554432, 25),
+    "counter-4-correct-reachable": (21, 16, 4, 15, 4),
+    "counter-4-correct-free": (21, 16, 0, 16, 4),
+    "counter-4-buggy-reachable": (15, 16, 0, 16, 4),
+    "counter-4-buggy-free": (15, 16, 0, 16, 4),
+    "counter-8-correct-reachable": (49, 256, 8, 255, 8),
+    "counter-8-correct-free": (49, 256, 0, 256, 8),
+    "counter-8-buggy-reachable": (35, 256, 0, 256, 8),
+    "counter-8-buggy-free": (35, 256, 0, 256, 8),
+    "counter-14-correct-reachable": (91, 16384, 14, 16383, 14),
+    "counter-14-correct-free": (91, 16384, 0, 16384, 14),
+    "counter-14-buggy-reachable": (65, 16384, 0, 16384, 14),
+    "counter-14-buggy-free": (65, 16384, 0, 16384, 14),
+}
+
+_FAMILY_BUILDERS = {
+    "ring": token_ring.symbolic_token_ring,
+    "mutex": mutex.symbolic_mutex,
+    "counter": counter.symbolic_counter,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RELATION_FINGERPRINTS))
+def test_relation_fingerprint(name):
+    family, size, variant, domain = name.split("-")
+    structure = _FAMILY_BUILDERS[family](
+        int(size), buggy=variant == "buggy", domain=domain
+    )
+    manager = structure.manager
+    bdd_sanitize.maybe_check_manager(manager)
+    current = structure.current_vars
+    both = current + tuple(var + 1 for var in current)
+    fingerprint = (
+        manager.node_count(structure.transition),
+        manager.sat_count(structure.transition, both),
+        manager.node_count(structure.domain),
+        manager.sat_count(structure.domain, current),
+        manager.node_count(structure.initial),
+    )
+    assert fingerprint == _RELATION_FINGERPRINTS[name]
 
 
 # -- bmc: time-to-counterexample and k-induction ---------------------------

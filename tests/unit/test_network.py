@@ -1,22 +1,12 @@
-"""Unit tests for process templates, compositions, free products, and topologies."""
+"""Unit tests for process templates, compositions and free products."""
 
 import pytest
 
 from repro.errors import CompositionError
 from repro.kripke.structure import IndexedProp
 from repro.network.composition import GlobalRule, SharedVariableComposition
-from repro.network.family import ProcessFamily
 from repro.network.free_product import free_product
 from repro.network.process import LocalTransition, ProcessTemplate
-from repro.network.topology import (
-    complete_topology,
-    left_neighbor,
-    line_topology,
-    right_neighbor,
-    ring_distance_left,
-    ring_topology,
-    star_topology,
-)
 
 
 def simple_template():
@@ -201,56 +191,3 @@ def test_free_product_size_and_labels():
     product = free_product(simple_template(), 3)
     assert product.num_states == 8
     assert product.index_values == frozenset({1, 2, 3})
-
-
-def test_process_family_builds_instances_of_any_size():
-    family = ProcessFamily(simple_template(), name="workers")
-    small = family.instance(2)
-    large = family.instance(3)
-    assert small.num_states == 4
-    assert large.num_states == 8
-    assert family.free_instance(2).num_states == 4
-    assert family.template is not None and family.name == "workers"
-    assert family.composition(2).size == 2
-
-
-# ---------------------------------------------------------------------------
-# Topologies
-# ---------------------------------------------------------------------------
-
-
-def test_ring_topology_neighbours():
-    topology = ring_topology([1, 2, 3, 4])
-    assert topology[1] == (4, 2)
-    assert topology[3] == (2, 4)
-
-
-def test_line_and_star_and_complete_topologies():
-    line = line_topology([1, 2, 3])
-    assert line[1] == (2,) and line[2] == (1, 3) and line[3] == (2,)
-    star = star_topology([1, 2, 3])
-    assert star[1] == (2, 3) and star[2] == (1,)
-    complete = complete_topology([1, 2, 3])
-    assert complete[2] == (1, 3)
-
-
-def test_topology_validation():
-    with pytest.raises(CompositionError):
-        ring_topology([])
-    with pytest.raises(CompositionError):
-        ring_topology([1, 1])
-
-
-def test_ring_arithmetic_helpers():
-    assert left_neighbor(1, 4) == 4
-    assert left_neighbor(3, 4) == 2
-    assert right_neighbor(4, 4) == 1
-    assert ring_distance_left(3, 1, 4) == 2
-    assert ring_distance_left(1, 3, 4) == 2
-    assert ring_distance_left(2, 2, 4) == 0
-    with pytest.raises(CompositionError):
-        left_neighbor(9, 4)
-    with pytest.raises(CompositionError):
-        right_neighbor(0, 4)
-    with pytest.raises(CompositionError):
-        ring_distance_left(0, 1, 4)

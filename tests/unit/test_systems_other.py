@@ -2,11 +2,39 @@
 
 import pytest
 
-from repro.errors import StructureError
+from repro.errors import CompositionError, StructureError
 from repro.kripke.structure import IndexedProp
 from repro.mc.ctlstar import CTLStarModelChecker
 from repro.mc.indexed import ICTLStarModelChecker
-from repro.systems import barrier, counter, figures, round_robin
+from repro.systems import barrier, counter, figures, mutex, round_robin, token_ring
+
+
+# ---------------------------------------------------------------------------
+# Size checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "builder,error",
+    [
+        (token_ring.build_token_ring, StructureError),
+        (token_ring.symbolic_token_ring, StructureError),
+        (mutex.build_mutex, StructureError),
+        (mutex.symbolic_mutex, StructureError),
+        (counter.build_counter, StructureError),
+        (counter.symbolic_counter, StructureError),
+        (barrier.barrier_composition, StructureError),
+        (barrier.build_barrier, StructureError),
+        (round_robin.round_robin_composition, StructureError),
+        (round_robin.build_round_robin, StructureError),
+        (figures.circulating_token_ring, StructureError),
+        (figures.fig41_network, CompositionError),
+    ],
+    ids=lambda value: getattr(value, "__name__", ""),
+)
+def test_every_family_builder_rejects_size_zero(builder, error):
+    with pytest.raises(error):
+        builder(0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +106,7 @@ def test_circulating_ring_is_a_cycle():
 
 
 def test_circulating_ring_validates_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(StructureError):
         figures.circulating_token_ring(0)
 
 
@@ -124,7 +152,7 @@ def test_round_robin_properties_are_restricted():
 
 
 def test_round_robin_rejects_bad_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(StructureError):
         round_robin.build_round_robin(0)
 
 
@@ -164,7 +192,7 @@ def test_barrier_properties_are_restricted():
 
 
 def test_barrier_rejects_bad_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(StructureError):
         barrier.build_barrier(0)
 
 
