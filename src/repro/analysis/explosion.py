@@ -179,8 +179,7 @@ def sample_large_ring_correspondence(
                 for small_state in small.states
             ):
                 paired += 1
-            successors = token_ring.ring_successors(state, large_size)
-            if not successors:
+            state = token_ring.sample_successor(state, large_size, rng)
+            if state is None:
                 break
-            state = rng.choice(successors)
     return {"visited": visited, "paired": paired, "partition_ok": partitioned}

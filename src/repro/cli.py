@@ -63,6 +63,8 @@ from typing import List, Optional
 
 from repro.analysis.timing import timed_call
 from repro.mc.bitset import ENGINE_NAMES, SAT_ENGINES
+from repro.mc.bmc import DEFAULT_BOUND
+from repro.mc.ic3 import DEFAULT_MAX_FRAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "with --engine bmc: falsification/induction depth ceiling "
             "(default: %d); with --engine ic3: frame-count ceiling "
-            "(default: %d)" % (_default_bound(), _default_frames())
+            "(default: %d)" % (DEFAULT_BOUND, DEFAULT_MAX_FRAMES)
         ),
     )
     parser.add_argument(
@@ -223,64 +225,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_bound() -> int:
-    from repro.mc.bmc import DEFAULT_BOUND
-
-    return DEFAULT_BOUND
-
-
-def _default_frames() -> int:
-    from repro.mc.ic3 import DEFAULT_MAX_FRAMES
-
-    return DEFAULT_MAX_FRAMES
-
-
-def _ring_family(size: int, fairness: bool):
-    from repro.systems import token_ring
-
-    family = {}
-    for name, formula in token_ring.ring_properties().items():
-        family["property " + name] = formula
-    for name, formula in token_ring.ring_invariants().items():
-        family["invariant " + name] = formula
-    family["invariant mutual_exclusion"] = token_ring.ring_mutual_exclusion(size)
-    constraint = None
-    if fairness:
-        constraint = token_ring.ring_scheduler_fairness(size)
-        # The AF t_i family is only true under fairness — see E11.
-        for name, formula in token_ring.fair_ring_properties().items():
-            family["fair liveness " + name] = formula
-    return family, constraint
-
-
-def _mutex_family(size: int, fairness: bool):
-    from repro.systems import mutex
-
-    family = {"invariant mutual_exclusion": mutex.mutex_safety(size)}
-    constraint = None
-    if fairness:
-        constraint = mutex.mutex_scheduler_fairness(size)
-        # Eventual entry is only true under fairness (an all-idle loop
-        # never goes critical).
-        family["fair liveness eventual_entry"] = mutex.mutex_liveness()
-    return family, constraint
-
-
-def _counter_family(size: int, fairness: bool):
-    from repro.systems import counter
-
-    return {"invariant nonzero": counter.counter_nonzero(size)}, None
-
-
-#: Per-system builders: (family+fairness factory, explicit builder,
+#: Per-system (``repro.systems`` module, property family, explicit builder,
 #: symbolic builder, display name).
 _SYSTEMS = {
-    "ring": (_ring_family, "build_token_ring", "symbolic_token_ring", "M_%d"),
-    "mutex": (_mutex_family, "build_mutex", "symbolic_mutex", "mutex(%d)"),
-    "counter": (_counter_family, "build_counter", "symbolic_counter", "counter(%d)"),
+    "ring": ("token_ring", "ring_family", "build_token_ring", "symbolic_token_ring", "M_%d"),
+    "mutex": ("mutex", "mutex_family", "build_mutex", "symbolic_mutex", "mutex(%d)"),
+    "counter": ("counter", "counter_family", "build_counter", "symbolic_counter", "counter(%d)"),
 }
 
-_SYSTEM_MODULES = {"ring": "token_ring", "mutex": "mutex", "counter": "counter"}
+
+def _sources(system: str, size: int, buggy: bool):
+    """Engine -> :func:`~repro.runtime.portfolio.builder_source` of the structure it checks.
+
+    Each engine gets its natural encoding: the explicit engines the global
+    state graph, ``bdd`` the direct symbolic encoding, and the SAT engines
+    its free domain, which skips the symbolic reachability fixpoint — the
+    whole point of the SAT engines is that the bound (bmc) or the
+    discovered invariant (ic3), not the reachable set, pays.
+    """
+    from repro.runtime.portfolio import builder_source
+
+    name, _, explicit, symbolic, _ = _SYSTEMS[system]
+    module = "repro.systems." + name
+    graph = builder_source(module, explicit, size, buggy=buggy)
+    free = builder_source(module, symbolic, size, buggy=buggy, domain="free")
+    return {
+        "bitset": graph,
+        "naive": graph,
+        "bdd": builder_source(module, symbolic, size, buggy=buggy),
+        "bmc": free,
+        "ic3": free,
+    }
 
 
 def _make_budget(timeout: Optional[float], memory_limit: Optional[int]):
@@ -318,35 +293,23 @@ def _run_check(
         InconclusiveError,
     )
 
-    family_factory, explicit_name, symbolic_name, display = _SYSTEMS[system]
-    module_name = "repro.systems." + _SYSTEM_MODULES[system]
-    module = importlib.import_module(module_name)
-    build_explicit = getattr(module, explicit_name)
-    build_symbolic = getattr(module, symbolic_name)
-    family, constraint = family_factory(size, fairness)
+    module, family_name, _, _, display = _SYSTEMS[system]
+    systems = importlib.import_module("repro.systems." + module)
+    family, constraint = getattr(systems, family_name)(size, fairness)
+    sources = _sources(system, size, buggy)
     label = display % size
     if buggy:
         label += " (buggy)"
     budget = _make_budget(timeout, memory_limit)
 
     if engine == "portfolio":
-        from repro.runtime.portfolio import PortfolioModelChecker, builder_source
+        from repro.runtime.portfolio import DEFAULT_RACE_ENGINES, PortfolioModelChecker
 
-        sources = {
-            "bitset": builder_source(module_name, explicit_name, size, buggy=buggy),
-            "bdd": builder_source(module_name, symbolic_name, size, buggy=buggy),
-            "bmc": builder_source(
-                module_name, symbolic_name, size, buggy=buggy, domain="free"
-            ),
-            "ic3": builder_source(
-                module_name, symbolic_name, size, buggy=buggy, domain="free"
-            ),
-        }
         if constraint is not None:  # pragma: no cover - rejected by main()
             raise FragmentError("the portfolio engine rejects fairness")
         built = timed_call(
             PortfolioModelChecker,
-            sources=sources,
+            sources={name: sources[name] for name in DEFAULT_RACE_ENGINES},
             workers=workers,
             bound=bound,
             budget=budget,
@@ -354,53 +317,21 @@ def _run_check(
         structure = None
         checker = built.value
         descriptor = "parallel portfolio racing %s" % ", ".join(checker.engines)
-    elif engine == "bdd":
-        from repro.mc.symbolic import SymbolicCTLModelChecker
-
-        built = timed_call(build_symbolic, size, buggy=buggy)
-        structure = built.value
-        checker = SymbolicCTLModelChecker(structure, fairness=constraint)
-        descriptor = "direct symbolic encoding"
-    elif engine in SAT_ENGINES:
-        # The free domain skips the symbolic reachability fixpoint — the
-        # whole point of the SAT engines is that the bound (bmc) or the
-        # discovered invariant (ic3), not the reachable set, pays.
-        built = timed_call(build_symbolic, size, buggy=buggy, domain="free")
-        structure = built.value
-        if engine == "bmc":
-            from repro.mc.bmc import BoundedModelChecker
-
-            checker = BoundedModelChecker(
-                structure, bound=_default_bound() if bound is None else bound
-            )
-            descriptor = (
-                "SAT unrolling of the direct encoding, bound=%d" % checker.bound
-            )
-        else:
-            from repro.mc.ic3 import IC3ModelChecker
-
-            checker = IC3ModelChecker(
-                structure,
-                max_frames=_default_frames() if bound is None else bound,
-            )
-            descriptor = (
-                "IC3 over the direct encoding, max %d frames" % checker.max_frames
-            )
     else:
-        from repro.mc.indexed import ICTLStarModelChecker
+        from repro.mc.indexed import make_checker
 
-        built = timed_call(build_explicit, size, buggy=buggy)
+        _, _, builder, args, kwargs = sources[engine]
+        built = timed_call(getattr(systems, builder), *args, **kwargs)
         structure = built.value
-        # Concrete-index property families (pairwise mutual exclusion) are
-        # already instantiated, which the Section 4 closedness restriction
-        # would reject — so the explicit engines skip enforcement here.
-        checker = ICTLStarModelChecker(
-            structure,
-            engine=engine,
-            fairness=constraint,
-            enforce_restrictions=False,
-        )
-        descriptor = "explicit state graph"
+        checker = make_checker(structure, engine=engine, fairness=constraint, bound=bound)
+        if engine == "bmc":
+            descriptor = "SAT unrolling of the direct encoding, bound=%d" % checker.bound
+        elif engine == "ic3":
+            descriptor = "IC3 over the direct encoding, max %d frames" % checker.max_frames
+        elif engine == "bdd":
+            descriptor = "direct symbolic encoding"
+        else:
+            descriptor = "explicit state graph"
 
     print("%s via engine=%s (%s)" % (label, engine, descriptor), file=out)
     if constraint is not None:

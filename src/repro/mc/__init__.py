@@ -31,7 +31,7 @@ from repro.mc.ctl import satisfaction_set as ctl_satisfaction_set
 from repro.mc.ctlstar import CTLStarModelChecker
 from repro.mc.ctlstar import check as check_ctlstar
 from repro.mc.ctlstar import satisfaction_set as ctlstar_satisfaction_set
-from repro.mc.indexed import ICTLStarModelChecker
+from repro.mc.indexed import ICTLStarModelChecker, make_checker
 from repro.mc.indexed import check as check_ictlstar
 from repro.mc.indexed import check_batch as check_ictlstar_batch
 from repro.mc.indexed import satisfaction_set as ictlstar_satisfaction_set
@@ -59,6 +59,7 @@ __all__ = [
     "strongly_connected_components",
     "resolve_checker",
     "make_ctl_checker",
+    "make_checker",
     "check_ctl_bitset",
     "bitset_satisfaction_set",
     "CTLStarModelChecker",

@@ -516,27 +516,23 @@ def make_ctl_checker(
         return BitsetCTLModelChecker(
             structure, validate_structure=validate_structure, fairness=fairness
         )
+    if isinstance(structure, CompiledKripkeStructure):
+        structure = structure.source  # only the bitset engine runs on the compiled form
     if engine == "naive":
         from repro.mc.ctl import CTLModelChecker
 
-        if isinstance(structure, CompiledKripkeStructure):
-            structure = structure.source
         return CTLModelChecker(
             structure, validate_structure=validate_structure, fairness=fairness
         )
     if engine == "bdd":
         from repro.mc.symbolic import SymbolicCTLModelChecker
 
-        if isinstance(structure, CompiledKripkeStructure):
-            structure = structure.source
         return SymbolicCTLModelChecker(
             structure, validate_structure=validate_structure, fairness=fairness
         )
     if engine == "bmc":
         from repro.mc.bmc import DEFAULT_BOUND, BoundedModelChecker
 
-        if isinstance(structure, CompiledKripkeStructure):
-            structure = structure.source
         return BoundedModelChecker(
             structure,
             bound=DEFAULT_BOUND if bound is None else bound,
@@ -546,8 +542,6 @@ def make_ctl_checker(
     if engine == "ic3":
         from repro.mc.ic3 import DEFAULT_MAX_FRAMES, IC3ModelChecker
 
-        if isinstance(structure, CompiledKripkeStructure):
-            structure = structure.source
         return IC3ModelChecker(
             structure,
             max_frames=DEFAULT_MAX_FRAMES if bound is None else bound,
@@ -557,8 +551,6 @@ def make_ctl_checker(
     if engine == "portfolio":
         from repro.runtime.portfolio import PortfolioModelChecker
 
-        if isinstance(structure, CompiledKripkeStructure):
-            structure = structure.source
         return PortfolioModelChecker(structure, bound=bound, fairness=fairness)
     raise ModelCheckingError(
         "unknown engine %r; expected one of %s" % (engine, ", ".join(ENGINE_NAMES))

@@ -256,7 +256,217 @@ class _Unroller:
         return [self.decode_frame(step) for step in range(last + 1)]
 
 
-class BoundedModelChecker:
+class _SATFrontEnd:
+    """The formula front end shared by the SAT engines (``bmc`` and ``ic3``).
+
+    Owns everything that does not depend on how an invariant is decided:
+    fairness rejection, the symbolic encoding (a plain
+    :class:`KripkeStructure` is binary-encoded on the spot, sharing the
+    memoised encoding with ``engine="bdd"``), the totality check, the
+    per-formula verdict memo, :meth:`check` with its span and counter,
+    index-quantifier instantiation, propositional lowering to BDDs and the
+    boolean/``AG``/``EF`` dispatch.  A subclass supplies
+    ``_decide_invariant`` and ``publish_metrics`` (and, for liveness,
+    :meth:`_decide_liveness`).
+    """
+
+    #: SAT engines decide single verdicts, not satisfaction sets — the
+    #: indexed front-end dispatches ``check`` directly when it sees this flag.
+    supports_satisfaction_sets = False
+
+    #: The engine label of spans and metrics.
+    engine = ""
+    #: How error messages name the engine.
+    _name = ""
+    #: The :class:`~repro.errors.FragmentError` message (``%s`` = the formula).
+    _fragment = ""
+
+    def __init__(
+        self,
+        structure: Union[KripkeStructure, SymbolicKripkeStructure],
+        validate_structure: bool,
+        fairness: Optional[FairnessConstraint],
+        drat: bool,
+    ) -> None:
+        if normalize_fairness(fairness) is not None:
+            raise FragmentError(
+                "%s does not implement fairness-constrained semantics; use one "
+                "of the fixpoint engines" % self._name
+            )
+        self._symbolic = symbolic_structure(structure)
+        if validate_structure and self._symbolic.source is not None:
+            assert_total(self._symbolic.source)
+        self._node_cache: Dict[Formula, BDDFunction] = {}
+        self._verdicts: Dict[Formula, bool] = {}
+        self._drat = drat
+        self.last_detail: str = ""
+        self.last_counterexample: Optional[List[State]] = None
+        #: RUP/DRAT checker counters of the last certified proof (populated
+        #: only when ``drat=True`` and the last verdict was a proof).
+        self.last_proof_stats: Optional[Dict[str, int]] = None
+
+    # -- accessors -----------------------------------------------------------
+
+    @property
+    def symbolic(self) -> SymbolicKripkeStructure:
+        """The BDD encoding whose transition relation is lowered to CNF."""
+        return self._symbolic
+
+    @property
+    def structure(self) -> Optional[KripkeStructure]:
+        """The explicit source structure, when this checker was built from one."""
+        return self._symbolic.source
+
+    @property
+    def fairness(self) -> None:
+        """Always ``None``: the SAT engines reject fairness constraints at construction."""
+        return None
+
+    # -- public API ----------------------------------------------------------
+
+    def check(self, formula: Formula, state: Optional[State] = None) -> bool:
+        """Decide ``M, s0 ⊨ formula`` for the engine's fragment.
+
+        Raises :class:`~repro.errors.FragmentError` outside the fragment and
+        :class:`~repro.errors.InconclusiveError` when the engine's ceiling is
+        hit without a verdict.  Only the initial state is supported as the
+        start state (that is where the search is rooted).
+        """
+        if state is not None and not self._is_initial(state):
+            raise ModelCheckingError(
+                "%s is rooted at the initial state; cannot check from %r"
+                % (self._name, state)
+            )
+        if formula in self._verdicts:
+            self.last_detail = "memoised verdict"
+            return self._verdicts[formula]
+        try:
+            with _obs_span("mc.check", engine=self.engine) as sp:
+                verdict = self._decide(self._instantiate(formula))
+                sp.set(verdict=verdict)
+        finally:
+            # Every exit path, so an inconclusive or cancelled check counts.
+            self.publish_metrics()
+        _metrics.counter("mc.checks", engine=self.engine).inc()
+        self._verdicts[formula] = verdict
+        return verdict
+
+    def propositional_fn(self, formula: Formula) -> BDDFunction:
+        """The states satisfying the propositional ``formula``, as a pinned BDD."""
+        cached = self._node_cache.get(formula)
+        if cached is not None:
+            return cached
+        result = self._symbolic.function(self._propositional_edge(formula))
+        self._node_cache[formula] = result
+        return result
+
+    # -- formula dispatch ------------------------------------------------------
+
+    def _instantiate(self, formula: Formula) -> Formula:
+        if any(isinstance(node, (IndexExists, IndexForall)) for node in walk(formula)):
+            values = self._symbolic.index_values
+            if values is None:
+                raise FragmentError(
+                    "formula %s has index quantifiers but the structure has no "
+                    "index set" % (formula,)
+                )
+            return instantiate_quantifiers(formula, values)
+        return formula
+
+    def _decide(self, formula: Formula) -> bool:
+        if isinstance(formula, Not):
+            return not self._decide(formula.operand)
+        if isinstance(formula, And):
+            return self._decide_junction((formula.left, formula.right), is_and=True)
+        if isinstance(formula, Or):
+            return self._decide_junction((formula.left, formula.right), is_and=False)
+        if isinstance(formula, Implies):
+            return self._decide_junction(
+                (Not(formula.left), formula.right), is_and=False
+            )
+        if isinstance(formula, ForAll) and isinstance(formula.path, Globally):
+            return self._decide_invariant(formula.path.operand)
+        if isinstance(formula, Exists) and isinstance(formula.path, Finally):
+            return not self._decide_invariant(Not(formula.path.operand))
+        if self._is_propositional(formula):
+            node = self.propositional_fn(formula)
+            holds = self._symbolic.manager.apply_and(node.node, self._symbolic.initial)
+            self.last_detail = "propositional evaluation at the initial state"
+            return holds != 0
+        return self._decide_liveness(formula)
+
+    def _decide_junction(self, operands, is_and: bool) -> bool:
+        """Left to right; an inconclusive operand does not hide one that decides."""
+        inconclusive: Optional[InconclusiveError] = None
+        for operand in operands:
+            try:
+                value = self._decide(operand)
+            except InconclusiveError as error:
+                inconclusive = error
+                continue
+            if value is not is_and:
+                return value  # short-circuit: one False kills ∧, one True saves ∨
+        if inconclusive is not None:
+            raise inconclusive
+        return is_and
+
+    def _decide_liveness(self, formula: Formula) -> bool:
+        """Whatever the boolean/``AG``/``EF`` dispatch left over: outside the fragment."""
+        raise FragmentError(self._fragment % (formula,))
+
+    # -- propositional lowering --------------------------------------------------
+
+    @staticmethod
+    def _is_propositional(formula: Formula) -> bool:
+        return all(isinstance(node, _PROPOSITIONAL) for node in walk(formula))
+
+    def _propositional_edge(self, formula: Formula) -> int:
+        symbolic = self._symbolic
+        manager = symbolic.manager
+        if isinstance(formula, _ATOMIC):
+            return symbolic.atom_node(formula)
+        if isinstance(formula, Not):
+            return manager.negate(self._propositional_edge(formula.operand))
+        if isinstance(formula, And):
+            return manager.apply_and(
+                self._propositional_edge(formula.left),
+                self._propositional_edge(formula.right),
+            )
+        if isinstance(formula, Or):
+            return manager.apply_or(
+                self._propositional_edge(formula.left),
+                self._propositional_edge(formula.right),
+            )
+        if isinstance(formula, Implies):
+            return manager.apply_or(
+                manager.negate(self._propositional_edge(formula.left)),
+                self._propositional_edge(formula.right),
+            )
+        if isinstance(formula, Iff):
+            return manager.apply(
+                "iff",
+                self._propositional_edge(formula.left),
+                self._propositional_edge(formula.right),
+            )
+        raise FragmentError(
+            "SAT-engine properties must be propositional (boolean combinations "
+            "of atoms); got %s" % (formula,)
+        )
+
+    def _is_initial(self, state: State) -> bool:
+        source = self._symbolic.source
+        if source is not None:
+            return state == source.initial_state
+        try:
+            assignment = self._symbolic.encode_state(state)
+        except (ReproError, KeyError, ValueError):
+            # No encoder (or one that rejects this state): cannot prove it
+            # is the initial state.
+            return False
+        return self._symbolic.manager.evaluate(self._symbolic.initial, assignment)
+
+
+class BoundedModelChecker(_SATFrontEnd):
     """Bounded model checker + k-induction prover over a SAT solver.
 
     Accepts a plain :class:`KripkeStructure` (binary-encoded on the spot,
@@ -277,9 +487,13 @@ class BoundedModelChecker:
     checker's counters).
     """
 
-    #: BMC decides single verdicts, not satisfaction sets — the indexed
-    #: front-end dispatches ``check`` directly when it sees this flag.
-    supports_satisfaction_sets = False
+    engine = "bmc"
+    _name = "the bounded model checker"
+    _fragment = (
+        "the BMC engine decides the invariant fragment — boolean/index-"
+        "quantified combinations of AG p, EF p, AF p, EG p with "
+        "propositional p — got %s"
+    )
 
     def __init__(
         self,
@@ -289,57 +503,25 @@ class BoundedModelChecker:
         fairness: Optional[FairnessConstraint] = None,
         drat: bool = False,
     ) -> None:
-        if normalize_fairness(fairness) is not None:
-            raise FragmentError(
-                "bounded model checking does not implement fairness-constrained "
-                "semantics; use one of the fixpoint engines"
-            )
         if bound < 0:
             raise ModelCheckingError("the BMC bound must be non-negative")
-        self._symbolic = symbolic_structure(structure)
-        if validate_structure and self._symbolic.source is not None:
-            assert_total(self._symbolic.source)
+        super().__init__(structure, validate_structure, fairness, drat)
         self._bound = bound
-        self._stats = SolverStats()
         self._falsifier: Optional[_Unroller] = None
         self._inductors: Dict[int, _Unroller] = {}
         self._inductor_handles: List[BDDFunction] = []
-        self._node_cache: Dict[Formula, BDDFunction] = {}
-        self._verdicts: Dict[Formula, bool] = {}
-        self._drat = drat
-        self.last_detail: str = ""
-        self.last_counterexample: Optional[List[State]] = None
         self.last_lasso: Optional[Lasso] = None
-        #: RUP/DRAT checker counters of the last certified k-induction proof
-        #: (populated only when ``drat=True`` and an induction step succeeded).
-        self.last_proof_stats: Optional[Dict[str, int]] = None
 
     # -- accessors -----------------------------------------------------------
-
-    @property
-    def symbolic(self) -> SymbolicKripkeStructure:
-        """The BDD encoding whose transition relation is unrolled."""
-        return self._symbolic
-
-    @property
-    def structure(self) -> Optional[KripkeStructure]:
-        """The explicit source structure, when this checker was built from one."""
-        return self._symbolic.source
 
     @property
     def bound(self) -> int:
         """The falsification/induction depth ceiling."""
         return self._bound
 
-    @property
-    def fairness(self) -> None:
-        """Always ``None``: BMC rejects fairness constraints at construction."""
-        return None
-
     def stats(self) -> Dict[str, int]:
         """Aggregated SAT statistics across every unrolling of this checker."""
         total = SolverStats()
-        total.accumulate(self._stats)
         for unroller in self._all_unrollers():
             total.accumulate(unroller.solver.stats)
         payload = total.as_dict()
@@ -353,32 +535,6 @@ class BoundedModelChecker:
         return unrollers
 
     # -- public API ----------------------------------------------------------
-
-    def check(self, formula: Formula, state: Optional[State] = None) -> bool:
-        """Decide ``M, s0 ⊨ formula`` for the BMC fragment.
-
-        Raises :class:`~repro.errors.FragmentError` outside the fragment and
-        :class:`~repro.errors.InconclusiveError` when the bound is exhausted
-        without a verdict.  Only the initial state is supported as the start
-        state (that is where the unrolling is rooted).
-        """
-        if state is not None and not self._is_initial(state):
-            raise ModelCheckingError(
-                "the bounded model checker is rooted at the initial state; "
-                "cannot check from %r" % (state,)
-            )
-        if formula in self._verdicts:
-            self.last_detail = "memoised verdict"
-            return self._verdicts[formula]
-        try:
-            with _obs_span("mc.check", engine="bmc"):
-                verdict = self._decide(self._instantiate(formula))
-        finally:
-            # Every exit path, so an inconclusive or cancelled check counts.
-            self.publish_metrics()
-        _metrics.counter("mc.checks", engine="bmc").inc()
-        self._verdicts[formula] = verdict
-        return verdict
 
     def publish_metrics(self) -> None:
         """Snapshot the solver statistics and the encoding's manager into the registry."""
@@ -407,7 +563,7 @@ class BoundedModelChecker:
         Sound only together with a base check (:meth:`check` interleaves
         both); ``None`` means no induction length up to the bound sufficed.
         """
-        node = self._propositional_node(invariant)
+        node = self.propositional_fn(invariant)
         limit = self._bound if bound is None else bound
         for length in range(1, limit + 1):
             if self._induction_step(node.node, length):
@@ -426,119 +582,52 @@ class BoundedModelChecker:
 
     def eg_witness(self, body: Formula, bound: Optional[int] = None) -> Optional[Lasso]:
         """A lasso from the initial state on which ``body`` holds forever (``EG body``)."""
-        node = self._propositional_node(body)
+        node = self.propositional_fn(body)
         hold = self._symbolic.manager.apply_and(node.node, self._symbolic.domain)
         return self._find_lasso(hold, self._bound if bound is None else bound)
 
     # -- formula dispatch ------------------------------------------------------
 
-    def _instantiate(self, formula: Formula) -> Formula:
-        if any(isinstance(node, (IndexExists, IndexForall)) for node in walk(formula)):
-            values = self._symbolic.index_values
-            if values is None:
-                raise FragmentError(
-                    "formula %s has index quantifiers but the structure has no "
-                    "index set" % (formula,)
+    def _decide_liveness(self, formula: Formula) -> bool:
+        """``AF p`` / ``EG p`` by lasso search: falsification (resp. witness) only."""
+        if isinstance(formula, ForAll) and isinstance(formula.path, Finally):
+            lasso = self.af_counterexample(formula.path.operand)
+            if lasso is not None:
+                self.last_detail = "lasso counterexample (|stem|=%d, |cycle|=%d)" % (
+                    len(lasso.stem),
+                    len(lasso.cycle),
                 )
-            return instantiate_quantifiers(formula, values)
-        return formula
-
-    def _decide(self, formula: Formula) -> bool:
-        if isinstance(formula, Not):
-            return not self._decide(formula.operand)
-        if isinstance(formula, And):
-            return self._decide_junction((formula.left, formula.right), is_and=True)
-        if isinstance(formula, Or):
-            return self._decide_junction((formula.left, formula.right), is_and=False)
-        if isinstance(formula, Implies):
-            return self._decide_junction(
-                (Not(formula.left), formula.right), is_and=False
+                return False
+            raise InconclusiveError(
+                "no lasso violating AF within bound %d; BMC cannot prove "
+                "liveness — use a fixpoint engine" % self._bound,
+                depth_reached=self._bound,
+                conflicts_spent=self._conflicts_spent(),
             )
-        if isinstance(formula, ForAll):
-            path = formula.path
-            if isinstance(path, Globally):
-                return self._decide_invariant(path.operand)
-            if isinstance(path, Finally):
-                lasso = self.af_counterexample(path.operand)
-                if lasso is not None:
-                    self.last_lasso = lasso
-                    self.last_detail = "lasso counterexample (|stem|=%d, |cycle|=%d)" % (
-                        len(lasso.stem),
-                        len(lasso.cycle),
-                    )
-                    return False
-                raise InconclusiveError(
-                    "no lasso violating AF within bound %d; BMC cannot prove "
-                    "liveness — use a fixpoint engine" % self._bound,
-                    depth_reached=self._bound,
-                    conflicts_spent=self._conflicts_spent(),
+        if isinstance(formula, Exists) and isinstance(formula.path, Globally):
+            lasso = self.eg_witness(formula.path.operand)
+            if lasso is not None:
+                self.last_detail = "lasso witness (|stem|=%d, |cycle|=%d)" % (
+                    len(lasso.stem),
+                    len(lasso.cycle),
                 )
-        if isinstance(formula, Exists):
-            path = formula.path
-            if isinstance(path, Finally):
-                return not self._decide_invariant(Not(path.operand))
-            if isinstance(path, Globally):
-                lasso = self.eg_witness(path.operand)
-                if lasso is not None:
-                    self.last_lasso = lasso
-                    self.last_detail = "lasso witness (|stem|=%d, |cycle|=%d)" % (
-                        len(lasso.stem),
-                        len(lasso.cycle),
-                    )
-                    return True
-                raise InconclusiveError(
-                    "no EG lasso witness within bound %d; BMC cannot refute "
-                    "EG — use a fixpoint engine" % self._bound,
-                    depth_reached=self._bound,
-                    conflicts_spent=self._conflicts_spent(),
-                )
-        if self._is_propositional(formula):
-            node = self._propositional_node(formula)
-            holds = self._symbolic.manager.apply_and(node.node, self._symbolic.initial)
-            self.last_detail = "propositional evaluation at the initial state"
-            return holds != 0
-        raise FragmentError(
-            "the BMC engine decides the invariant fragment — boolean/index-"
-            "quantified combinations of AG p, EF p, AF p, EG p with "
-            "propositional p — got %s" % (formula,)
-        )
-
-    def _decide_junction(self, operands, is_and: bool) -> bool:
-        inconclusive: Optional[InconclusiveError] = None
-        for operand in operands:
-            try:
-                value = self._decide(operand)
-            except InconclusiveError as error:
-                inconclusive = error
-                continue
-            if value is not is_and:
-                return value  # short-circuit: one False kills ∧, one True saves ∨
-        if inconclusive is not None:
-            raise inconclusive
-        return is_and
+                return True
+            raise InconclusiveError(
+                "no EG lasso witness within bound %d; BMC cannot refute "
+                "EG — use a fixpoint engine" % self._bound,
+                depth_reached=self._bound,
+                conflicts_spent=self._conflicts_spent(),
+            )
+        return super()._decide_liveness(formula)
 
     def _decide_invariant(self, body: Formula) -> bool:
         """Interleaved BMC falsification and k-induction for ``AG body``."""
-        node = self._propositional_node(body)
+        node = self.propositional_fn(body)
         bad = self._symbolic.complement(node.node)
         bad_fn = self._symbolic.function(bad)
-        falsifier = self._falsifier_unroller()
         for depth in range(self._bound + 1):
             with _obs_span("bmc.depth", k=depth) as sp:
-                _checkpoint(
-                    "bmc.depth",
-                    sat_conflicts=falsifier.solver.stats.conflicts,
-                )
-                _heartbeat(
-                    "bmc",
-                    k=depth,
-                    conflicts=falsifier.solver.stats.conflicts,
-                )
-                falsifier.extend(depth)
-                assumption = falsifier.literal(bad_fn.node, depth)
-                if falsifier.solver.solve([assumption]):
-                    self.last_counterexample = falsifier.decode_path(depth)
-                    self.last_detail = "counterexample at depth %d" % depth
+                if self._violated_at(bad_fn, depth):
                     sp.set(outcome="counterexample")
                     return False
                 if self._induction_step(node.node, depth + 1):
@@ -562,27 +651,28 @@ class BoundedModelChecker:
         return self._falsifier
 
     def _conflicts_spent(self) -> int:
-        total = 0
-        if self._falsifier is not None:
-            total += self._falsifier.solver.stats.conflicts
-        for unroller in self._inductors.values():
-            total += unroller.solver.stats.conflicts
-        return total
+        return sum(unroller.solver.stats.conflicts for unroller in self._all_unrollers())
+
+    def _violated_at(self, bad_fn: BDDFunction, depth: int) -> bool:
+        """Does a ``bad_fn`` state lie exactly ``depth`` steps from the initial state?
+
+        On SAT the path is decoded into :attr:`last_counterexample`."""
+        falsifier = self._falsifier_unroller()
+        conflicts = falsifier.solver.stats.conflicts
+        _checkpoint("bmc.depth", sat_conflicts=conflicts)
+        _heartbeat("bmc", k=depth, conflicts=conflicts)
+        falsifier.extend(depth)
+        if not falsifier.solver.solve([falsifier.literal(bad_fn.node, depth)]):
+            return False
+        self.last_counterexample = falsifier.decode_path(depth)
+        self.last_detail = "counterexample at depth %d" % depth
+        return True
 
     def _falsify(self, bad_node: int, bound: int) -> Optional[List[State]]:
         bad_fn = self._symbolic.function(bad_node)
-        falsifier = self._falsifier_unroller()
         for depth in range(bound + 1):
             with _obs_span("bmc.depth", k=depth, mode="falsify"):
-                _checkpoint(
-                    "bmc.depth",
-                    sat_conflicts=falsifier.solver.stats.conflicts,
-                )
-                _heartbeat("bmc", k=depth, mode="falsify")
-                falsifier.extend(depth)
-                if falsifier.solver.solve([falsifier.literal(bad_fn.node, depth)]):
-                    self.last_counterexample = falsifier.decode_path(depth)
-                    self.last_detail = "counterexample at depth %d" % depth
+                if self._violated_at(bad_fn, depth):
                     return self.last_counterexample
         return None
 
@@ -655,71 +745,10 @@ class BoundedModelChecker:
                 )  # pragma: no cover - guarded by construction
         return None
 
-    # -- propositional lowering --------------------------------------------------
-
-    @staticmethod
-    def _is_propositional(formula: Formula) -> bool:
-        return all(isinstance(node, _PROPOSITIONAL) for node in walk(formula))
-
     def _bad_states_node(self, body: Formula) -> int:
         """The domain states violating the propositional formula ``body``."""
-        node = self._propositional_node(body)
+        node = self.propositional_fn(body)
         return self._symbolic.complement(node.node)
-
-    def _propositional_node(self, formula: Formula) -> BDDFunction:
-        cached = self._node_cache.get(formula)
-        if cached is not None:
-            return cached
-        result = self._symbolic.function(self._propositional_edge(formula))
-        self._node_cache[formula] = result
-        return result
-
-    def _propositional_edge(self, formula: Formula) -> int:
-        symbolic = self._symbolic
-        manager = symbolic.manager
-        if isinstance(formula, _ATOMIC):
-            return symbolic.atom_node(formula)
-        if isinstance(formula, Not):
-            return manager.negate(self._propositional_edge(formula.operand))
-        if isinstance(formula, And):
-            return manager.apply_and(
-                self._propositional_edge(formula.left),
-                self._propositional_edge(formula.right),
-            )
-        if isinstance(formula, Or):
-            return manager.apply_or(
-                self._propositional_edge(formula.left),
-                self._propositional_edge(formula.right),
-            )
-        if isinstance(formula, Implies):
-            return manager.apply_or(
-                manager.negate(self._propositional_edge(formula.left)),
-                self._propositional_edge(formula.right),
-            )
-        if isinstance(formula, Iff):
-            return manager.apply(
-                "iff",
-                self._propositional_edge(formula.left),
-                self._propositional_edge(formula.right),
-            )
-        raise FragmentError(
-            "BMC properties must be propositional (boolean combinations of "
-            "atoms); got %s" % (formula,)
-        )
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _is_initial(self, state: State) -> bool:
-        source = self._symbolic.source
-        if source is not None:
-            return state == source.initial_state
-        try:
-            assignment = self._symbolic.encode_state(state)
-        except (ReproError, KeyError, ValueError):
-            # No encoder (or one that rejects this state): cannot prove it
-            # is the initial state.
-            return False
-        return self._symbolic.manager.evaluate(self._symbolic.initial, assignment)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "<BoundedModelChecker: %d bits, bound %d, %d solver(s)>" % (

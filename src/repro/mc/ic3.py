@@ -48,11 +48,12 @@ The algorithm, in the delta-encoded formulation:
   certificate is exposed as :attr:`IC3ModelChecker.certificate` with
   ``last_detail = "ic3-invariant …"``.
 
-Like BMC, the engine answers verdicts only (``supports_satisfaction_sets``
-is ``False``), is rooted at the initial state, rejects fairness
-constraints, and handles boolean/index-quantified combinations of ``AG p``
-and ``EF p`` with propositional bodies; liveness (``AF``/``EG``) stays
-with BMC falsification or the fixpoint engines (see ``docs/ENGINES.md``).
+The engine shares BMC's formula front end: it answers verdicts only
+(``supports_satisfaction_sets`` is ``False``), is rooted at the initial
+state, rejects fairness constraints, and handles boolean/index-quantified
+combinations of ``AG p`` and ``EF p`` with propositional bodies; liveness
+(``AF``/``EG``) stays with BMC falsification or the fixpoint engines (see
+``docs/ENGINES.md``).
 Unlike BMC there is no depth ceiling to tune — ``max_frames`` is a safety
 net, not a proof parameter.
 """
@@ -60,28 +61,16 @@ net, not a proof parameter.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bdd import BDDFunction
-from repro.errors import FragmentError, InconclusiveError, ModelCheckingError
+from repro.errors import InconclusiveError, ModelCheckingError
 from repro.kripke.structure import KripkeStructure, State
-from repro.kripke.symbolic import SymbolicKripkeStructure, symbolic_structure
-from repro.kripke.validation import assert_total
-from repro.logic.ast import (
-    And,
-    Exists,
-    Finally,
-    ForAll,
-    Formula,
-    Globally,
-    Implies,
-    Not,
-    Or,
-)
-from repro.mc.bmc import _Unroller  # the shared CNF unrolling (counterexample decode)
-from repro.mc.bmc import BoundedModelChecker
-from repro.mc.fairness import FairnessConstraint, normalize_fairness
+from repro.kripke.symbolic import SymbolicKripkeStructure
+from repro.logic.ast import Formula
+from repro.mc.bmc import _SATFrontEnd, _Unroller
+from repro.mc.fairness import FairnessConstraint
 from repro.obs import metrics as _metrics
 from repro.obs.progress import heartbeat as _heartbeat
 from repro.obs.trace import span as _obs_span
@@ -151,32 +140,14 @@ class _Counters:
     rotation_queries: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "frames": self.frames,
-            "cubes_blocked": self.cubes_blocked,
-            "obligations": self.obligations,
-            "relative_queries": self.relative_queries,
-            "generalization_queries": self.generalization_queries,
-            "literals_dropped": self.literals_dropped,
-            "clauses_pushed": self.clauses_pushed,
-            "cubes_subsumed": self.cubes_subsumed,
-            "verification_queries": self.verification_queries,
-            "rotated_lemmas": self.rotated_lemmas,
-            "rotation_queries": self.rotation_queries,
-        }
+        return asdict(self)
 
     def accumulate(self, other: "_Counters") -> None:
-        self.frames = max(self.frames, other.frames)
-        self.cubes_blocked += other.cubes_blocked
-        self.obligations += other.obligations
-        self.relative_queries += other.relative_queries
-        self.generalization_queries += other.generalization_queries
-        self.literals_dropped += other.literals_dropped
-        self.clauses_pushed += other.clauses_pushed
-        self.cubes_subsumed += other.cubes_subsumed
-        self.verification_queries += other.verification_queries
-        self.rotated_lemmas += other.rotated_lemmas
-        self.rotation_queries += other.rotation_queries
+        for counter in fields(self):
+            mine, theirs = getattr(self, counter.name), getattr(other, counter.name)
+            # ``frames`` is a high-water mark; every other counter adds up.
+            total = max(mine, theirs) if counter.name == "frames" else mine + theirs
+            setattr(self, counter.name, total)
 
 
 class _TransitionTemplate:
@@ -280,7 +251,7 @@ class _IC3Run:
         # encoding): F_i's clause set is the union of frames[i:], so clauses
         # accumulate downward and F_1 ⊆ F_2 ⊆ … as state sets.
         self.frames: List[List[Tuple[int, ...]]] = [[], []]
-        self.solvers: List[Solver] = [self._new_frame_solver(), self._new_frame_solver()]
+        self.solvers: List[Solver] = [self.template.new_solver(), self.template.new_solver()]
         self._solver_caches: List[Dict[int, int]] = [{}, {}]
         self._bad_literals: Dict[int, int] = {}
         self._ticket = 0
@@ -295,9 +266,6 @@ class _IC3Run:
     @property
     def top(self) -> int:
         return len(self.frames) - 1
-
-    def _new_frame_solver(self) -> Solver:
-        return self.template.new_solver()
 
     def _symmetry_path(self) -> Tuple[str, Optional[str], List[Tuple[int, ...]]]:
         """``(path, reason, powers)``: how blocked cubes are seeded along their orbit.
@@ -497,7 +465,7 @@ class _IC3Run:
 
     def _open_frame(self) -> None:
         self.frames.append([])
-        self.solvers.append(self._new_frame_solver())
+        self.solvers.append(self.template.new_solver())
         self._solver_caches.append({})
         self.counters.frames = self.top
 
@@ -772,14 +740,18 @@ class _IC3Run:
         return total
 
 
-class IC3ModelChecker:
+class IC3ModelChecker(_SATFrontEnd):
     """IC3/PDR prover over the engine-shared symbolic encoding.
 
     Accepts a plain :class:`KripkeStructure` (binary-encoded on the spot,
     sharing the memoised encoding with ``engine="bdd"``) or an
     already-encoded :class:`SymbolicKripkeStructure` — direct family
     encodings built with ``domain="free"`` skip the symbolic reachability
-    fixpoint, exactly as for the bounded model checker.
+    fixpoint, exactly as for the bounded model checker.  The formula front
+    end (fairness rejection, verdict memo, instantiation, propositional
+    lowering, the boolean/``AG``/``EF`` dispatch) is the one the bounded
+    model checker of :mod:`repro.mc.bmc` uses; this class adds the IC3
+    invariant decision, its frames and its certificate.
 
     Verdicts are memoised per formula; :attr:`last_detail` reports how the
     most recent one was decided (``"ic3-invariant (12 clauses, frame 4)"``
@@ -795,9 +767,14 @@ class IC3ModelChecker:
     :attr:`last_proof_stats` reports the checker's counters.
     """
 
-    #: IC3 decides single verdicts, not satisfaction sets — the indexed
-    #: front-end dispatches ``check`` directly when it sees this flag.
-    supports_satisfaction_sets = False
+    engine = "ic3"
+    _name = "the IC3 engine"
+    _fragment = (
+        "the IC3 engine decides the safety fragment — boolean/index-"
+        "quantified combinations of AG p and EF p with propositional p; "
+        "got %s (liveness falsification lives in engine='bmc', full CTL "
+        "in the fixpoint engines)"
+    )
 
     def __init__(
         self,
@@ -807,56 +784,21 @@ class IC3ModelChecker:
         fairness: Optional[FairnessConstraint] = None,
         drat: bool = False,
     ) -> None:
-        if normalize_fairness(fairness) is not None:
-            raise FragmentError(
-                "IC3 does not implement fairness-constrained semantics; use "
-                "one of the fixpoint engines"
-            )
         if max_frames < 1:
             raise ModelCheckingError("the IC3 frame ceiling must be positive")
-        self._symbolic = symbolic_structure(structure)
-        if validate_structure and self._symbolic.source is not None:
-            assert_total(self._symbolic.source)
+        super().__init__(structure, validate_structure, fairness, drat)
         self._max_frames = max_frames
         self._template: Optional[_TransitionTemplate] = None
         self._counters = _Counters()
         self._solver_stats = SolverStats()
-        self._verdicts: Dict[Formula, bool] = {}
-        # Formula plumbing (instantiation, propositional lowering, initial-
-        # state checks) is delegated to a BMC front-end over the same
-        # symbolic structure; its solvers are never touched.
-        self._front = BoundedModelChecker(
-            structure, validate_structure=False, fairness=None
-        )
-        self._drat = drat
-        self.last_detail: str = ""
-        self.last_counterexample: Optional[List[State]] = None
         self.certificate: Optional[InvariantCertificate] = None
-        #: RUP/DRAT checker counters of the last certificate re-verification
-        #: (populated only when ``drat=True`` and the last verdict was a proof).
-        self.last_proof_stats: Optional[Dict[str, int]] = None
 
     # -- accessors -----------------------------------------------------------
-
-    @property
-    def symbolic(self) -> SymbolicKripkeStructure:
-        """The BDD encoding whose transition relation is CNF-lowered."""
-        return self._symbolic
-
-    @property
-    def structure(self) -> Optional[KripkeStructure]:
-        """The explicit source structure, when this checker was built from one."""
-        return self._symbolic.source
 
     @property
     def max_frames(self) -> int:
         """The frame-count safety net (``InconclusiveError`` past it)."""
         return self._max_frames
-
-    @property
-    def fairness(self) -> None:
-        """Always ``None``: IC3 rejects fairness constraints at construction."""
-        return None
 
     def stats(self) -> Dict[str, int]:
         """Aggregated SAT statistics plus the IC3 frame/obligation counters."""
@@ -875,34 +817,6 @@ class IC3ModelChecker:
 
     # -- public API ----------------------------------------------------------
 
-    def check(self, formula: Formula, state: Optional[State] = None) -> bool:
-        """Decide ``M, s0 ⊨ formula`` for the IC3 fragment.
-
-        The fragment is boolean/index-quantified combinations of ``AG p``
-        and ``EF p`` with propositional bodies (plus propositional formulas
-        outright); liveness operators raise
-        :class:`~repro.errors.FragmentError`.  Only the initial state is
-        supported as the start state.
-        """
-        if state is not None and not self._front._is_initial(state):
-            raise ModelCheckingError(
-                "the IC3 engine is rooted at the initial state; cannot check "
-                "from %r" % (state,)
-            )
-        if formula in self._verdicts:
-            self.last_detail = "memoised verdict"
-            return self._verdicts[formula]
-        try:
-            with _obs_span("mc.check", engine="ic3") as sp:
-                verdict = self._decide(self._front._instantiate(formula))
-                sp.set(verdict=verdict)
-        finally:
-            # Every exit path, so an inconclusive or cancelled check counts.
-            self.publish_metrics()
-        _metrics.counter("mc.checks", engine="ic3").inc()
-        self._verdicts[formula] = verdict
-        return verdict
-
     def prove_invariant(self, invariant: Formula) -> Optional[InvariantCertificate]:
         """Prove ``AG invariant``; the re-verified certificate, or ``None``.
 
@@ -914,35 +828,8 @@ class IC3ModelChecker:
             return self.certificate
         return None
 
-    # -- formula dispatch ------------------------------------------------------
-
-    def _decide(self, formula: Formula) -> bool:
-        if isinstance(formula, Not):
-            return not self._decide(formula.operand)
-        if isinstance(formula, And):
-            return self._decide(formula.left) and self._decide(formula.right)
-        if isinstance(formula, Or):
-            return self._decide(formula.left) or self._decide(formula.right)
-        if isinstance(formula, Implies):
-            return (not self._decide(formula.left)) or self._decide(formula.right)
-        if isinstance(formula, ForAll) and isinstance(formula.path, Globally):
-            return self._decide_invariant(formula.path.operand)
-        if isinstance(formula, Exists) and isinstance(formula.path, Finally):
-            return not self._decide_invariant(Not(formula.path.operand))
-        if BoundedModelChecker._is_propositional(formula):
-            node = self._front._propositional_node(formula)
-            holds = self._symbolic.manager.apply_and(node.node, self._symbolic.initial)
-            self.last_detail = "propositional evaluation at the initial state"
-            return holds != 0
-        raise FragmentError(
-            "the IC3 engine decides the safety fragment — boolean/index-"
-            "quantified combinations of AG p and EF p with propositional p; "
-            "got %s (liveness falsification lives in engine='bmc', full CTL "
-            "in the fixpoint engines)" % (formula,)
-        )
-
     def _decide_invariant(self, body: Formula) -> bool:
-        node = self._front._propositional_node(body)
+        node = self.propositional_fn(body)
         if self._template is None:
             self._template = _TransitionTemplate(self._symbolic)
         run = _IC3Run(self._symbolic, self._template, node.node, drat=self._drat)

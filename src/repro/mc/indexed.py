@@ -40,7 +40,8 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Union
 
 from repro.errors import FragmentError
 from repro.kripke.indexed import IndexedKripkeStructure
-from repro.kripke.structure import State
+from repro.kripke.structure import KripkeStructure, State
+from repro.kripke.symbolic import SymbolicKripkeStructure
 from repro.kripke.validation import assert_total
 from repro.logic.ast import Formula, IndexExists, IndexForall, walk
 from repro.logic.syntax import (
@@ -49,11 +50,17 @@ from repro.logic.syntax import (
     is_state_formula,
 )
 from repro.logic.transform import free_index_variables, instantiate_quantifiers
-from repro.mc.bitset import make_ctl_checker
+from repro.mc.bitset import SAT_ENGINES, make_ctl_checker
 from repro.mc.ctlstar import CTLStarModelChecker
 from repro.mc.fairness import FairnessConstraint, normalize_fairness
 
-__all__ = ["ICTLStarModelChecker", "satisfaction_set", "check", "check_batch"]
+__all__ = [
+    "ICTLStarModelChecker",
+    "make_checker",
+    "satisfaction_set",
+    "check",
+    "check_batch",
+]
 
 
 class ICTLStarModelChecker:
@@ -176,6 +183,32 @@ class ICTLStarModelChecker:
         if not is_ctl(formula):
             return False
         return not any(isinstance(node, (IndexExists, IndexForall)) for node in walk(formula))
+
+
+def make_checker(
+    structure: Union[KripkeStructure, SymbolicKripkeStructure],
+    engine: str = "bitset",
+    fairness: Optional[FairnessConstraint] = None,
+    bound: Optional[int] = None,
+):
+    """The checker that runs a property family on ``structure`` with ``engine``.
+
+    The one dispatch of the CLI and the portfolio workers.  The SAT engines,
+    and ``bdd`` on a direct symbolic encoding (which has no explicit state
+    graph to hand to the indexed wrapper), come straight from
+    :func:`~repro.mc.bitset.make_ctl_checker`.  Every other engine runs
+    inside :class:`ICTLStarModelChecker` with ``enforce_restrictions=False``:
+    the families' concrete-index properties (pairwise mutual exclusion) are
+    already instantiated, which the Section 4 closedness restriction would
+    reject.
+    """
+    if engine in SAT_ENGINES or (
+        engine == "bdd" and isinstance(structure, SymbolicKripkeStructure)
+    ):
+        return make_ctl_checker(structure, engine=engine, fairness=fairness, bound=bound)
+    return ICTLStarModelChecker(
+        structure, engine=engine, fairness=fairness, enforce_restrictions=False
+    )
 
 
 def satisfaction_set(

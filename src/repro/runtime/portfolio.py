@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import importlib
 import os
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import (
     BudgetExceededError,
@@ -57,7 +57,9 @@ from repro.obs.trace import span as _obs_span
 from repro.runtime import limits as _limits
 from repro.runtime.chaos import ChaosConfig
 from repro.runtime.limits import ResourceBudget
-from repro.runtime.supervisor import Supervisor, TaskOutcome, WorkerTask
+
+if TYPE_CHECKING:
+    from repro.runtime.supervisor import TaskOutcome
 
 __all__ = [
     "DEFAULT_RACE_ENGINES",
@@ -125,33 +127,11 @@ def run_engine_check(
     only.  Fragment and inconclusive outcomes propagate as their structured
     exceptions — the supervisor reports them as typed failures, not crashes.
     """
-    structure = _materialise(source)
-    from repro.kripke.symbolic import SymbolicKripkeStructure
-    from repro.mc.bitset import SAT_ENGINES, make_ctl_checker
+    from repro.mc.indexed import make_checker
 
-    if engine in SAT_ENGINES:
-        checker = make_ctl_checker(structure, engine=engine, bound=bound)
-        verdict = checker.check(formula)
-        detail = checker.last_detail
-    elif engine == "bdd" and isinstance(structure, SymbolicKripkeStructure):
-        # A direct symbolic encoding has no explicit state graph to hand
-        # to the indexed wrapper; check it with the symbolic engine as-is.
-        from repro.mc.symbolic import SymbolicCTLModelChecker
-
-        checker = SymbolicCTLModelChecker(structure)
-        verdict = checker.check(formula)
-        detail = ""
-    else:
-        # Same construction as the CLI's explicit path: concrete-index
-        # property families are already instantiated, which the Section 4
-        # closedness restriction would reject.
-        from repro.mc.indexed import ICTLStarModelChecker
-
-        checker = ICTLStarModelChecker(
-            structure, engine=engine, enforce_restrictions=False
-        )
-        verdict = checker.check(formula)
-        detail = ""
+    checker = make_checker(_materialise(source), engine=engine, bound=bound)
+    verdict = checker.check(formula)
+    detail = getattr(checker, "last_detail", "")  # only the SAT engines say how they decided
     return {"engine": engine, "verdict": bool(verdict), "detail": detail}
 
 
@@ -237,6 +217,11 @@ class PortfolioModelChecker:
         self.hang_timeout = hang_timeout
         self.max_restarts = max_restarts
         self.grace = grace
+        # Imported here, not at module level, so builder_source stays cheap
+        # for single-engine runs; a portfolio loads its pool machinery
+        # (multiprocessing) when it is built, not on its first check.
+        from repro.runtime.supervisor import Supervisor
+
         #: The worker pool, created by the first check.
         self._supervisor: Optional[Supervisor] = None
         #: Provenance of the most recent check: engine name -> one-line fate.
@@ -256,6 +241,8 @@ class PortfolioModelChecker:
             raise ModelCheckingError(
                 "the portfolio engine only decides the initial state"
             )
+        from repro.runtime.supervisor import Supervisor, WorkerTask
+
         tasks = [
             WorkerTask(
                 id=name,

@@ -74,7 +74,7 @@ lists through local bindings, with no per-literal method calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import repro.sat.sanitize as _sanitize
@@ -121,31 +121,13 @@ class SolverStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Flatten into a JSON-serialisable dictionary."""
-        return {
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "restarts": self.restarts,
-            "learned_clauses": self.learned_clauses,
-            "deleted_clauses": self.deleted_clauses,
-            "solve_calls": self.solve_calls,
-            "subsumed_clauses": self.subsumed_clauses,
-            "strengthened_clauses": self.strengthened_clauses,
-            "inprocessings": self.inprocessings,
-        }
+        return asdict(self)
 
     def accumulate(self, other: "SolverStats") -> None:
         """Add another stats record into this one (for multi-solver aggregation)."""
-        self.conflicts += other.conflicts
-        self.decisions += other.decisions
-        self.propagations += other.propagations
-        self.restarts += other.restarts
-        self.learned_clauses += other.learned_clauses
-        self.deleted_clauses += other.deleted_clauses
-        self.solve_calls += other.solve_calls
-        self.subsumed_clauses += other.subsumed_clauses
-        self.strengthened_clauses += other.strengthened_clauses
-        self.inprocessings += other.inprocessings
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class _Clause:

@@ -57,7 +57,7 @@ __all__ = [
     "build_counter",
     "symbolic_counter",
     "counter_nonzero",
-    "counter_properties",
+    "counter_family",
 ]
 
 #: The part alphabet (one bit per process in the symbolic encoding) and the
@@ -237,6 +237,10 @@ def counter_nonzero(size: int) -> Formula:
     return AG(lnot(land(*zeros))) if size > 1 else AG(lnot(zeros[0]))
 
 
-def counter_properties(size: int) -> Dict[str, Formula]:
-    """The counter property family, keyed by a short name."""
-    return {"nonzero": counter_nonzero(size)}
+def counter_family(size: int, fairness: bool = False) -> Tuple[Dict[str, Formula], None]:
+    """The counter property family as ``repro-mc`` checks it: ``(name -> formula, None)``.
+
+    The counter is deterministic, so it has no fairness constraint; the
+    ``fairness`` flag is accepted for a uniform family signature and ignored.
+    """
+    return {"invariant nonzero": counter_nonzero(size)}, None

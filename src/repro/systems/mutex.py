@@ -67,7 +67,7 @@ __all__ = [
     "mutex_safety",
     "mutex_liveness",
     "mutex_scheduler_fairness",
-    "mutex_properties",
+    "mutex_family",
 ]
 
 #: The local-part alphabet (two bits per process in the symbolic encoding)
@@ -278,9 +278,17 @@ def mutex_scheduler_fairness(size: int) -> FairnessConstraint:
     )
 
 
-def mutex_properties(size: int) -> Dict[str, Formula]:
-    """The mutex property family, keyed by a short name."""
-    return {
-        "mutual_exclusion": mutex_safety(size),
-        "eventual_entry": mutex_liveness(),
-    }
+def mutex_family(
+    size: int, fairness: bool = False
+) -> Tuple[Dict[str, Formula], Optional[FairnessConstraint]]:
+    """The mutex property family as ``repro-mc`` checks it: ``(name -> formula, fairness)``.
+
+    With ``fairness`` the family gains the eventual-entry liveness property,
+    which is only true under :func:`mutex_scheduler_fairness` (an all-idle
+    loop never goes critical), and that constraint is returned.
+    """
+    family = {"invariant mutual_exclusion": mutex_safety(size)}
+    if not fairness:
+        return family, None
+    family["fair liveness eventual_entry"] = mutex_liveness()
+    return family, mutex_scheduler_fairness(size)

@@ -36,6 +36,7 @@ for the invariants and the four verified properties.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -68,6 +69,7 @@ __all__ = [
     "initial_state",
     "cln",
     "ring_successors",
+    "sample_successor",
     "state_label",
     "build_token_ring",
     "symbolic_token_ring",
@@ -93,6 +95,7 @@ __all__ = [
     "fair_ring_properties",
     "ring_properties",
     "ring_invariants",
+    "ring_family",
 ]
 
 
@@ -187,6 +190,27 @@ def _local_move(state: RingState, process: int, source: str, target: str) -> Rin
     return RingState(parts["D"], parts["N"], parts["T"], parts["C"], state.other)
 
 
+def _handovers(state: RingState, size: int) -> List[Tuple[int, int]]:
+    """Rule 2's ``(holder, receiver)`` pairs, holders in increasing order."""
+    pairs = []
+    for holder in sorted(state.token_neutral | state.critical):
+        receiver = cln(state, holder, size)
+        if receiver is not None:
+            pairs.append((holder, receiver))
+    return pairs
+
+
+def _handover(state: RingState, holder: int, receiver: int) -> RingState:
+    """Rule 2: ``holder`` becomes neutral and ``receiver`` enters its critical region."""
+    return RingState(
+        delayed=state.delayed - {receiver},
+        neutral=state.neutral | {holder},
+        token_neutral=state.token_neutral - {holder},
+        critical=(state.critical - {holder}) | {receiver},
+        other=state.other,
+    )
+
+
 def ring_successors(state: RingState, size: int, buggy: bool = False) -> List[RingState]:
     """The successors of a global state under the four transition rules of ``R_r``.
 
@@ -210,19 +234,7 @@ def ring_successors(state: RingState, size: int, buggy: bool = False) -> List[Ri
 
     # Rule 2: the token holder j ∈ T ∪ C hands the token to i = cln(j) ∈ D;
     # j becomes neutral and i enters its critical region.
-    for holder in sorted(state.token_neutral | state.critical):
-        receiver = cln(state, holder, size)
-        if receiver is None:
-            continue
-        successors.append(
-            RingState(
-                delayed=state.delayed - {receiver},
-                neutral=state.neutral | {holder},
-                token_neutral=state.token_neutral - {holder},
-                critical=(state.critical - {holder}) | {receiver},
-                other=state.other,
-            )
-        )
+    successors.extend(_handover(state, *pair) for pair in _handovers(state, size))
 
     # Rule 3: the process in T enters its critical region.
     successors.extend(_local_move(state, p, "T", "C") for p in sorted(state.token_neutral))
@@ -232,6 +244,35 @@ def ring_successors(state: RingState, size: int, buggy: bool = False) -> List[Ri
         successors.extend(_local_move(state, p, "C", "T") for p in sorted(state.critical))
 
     return successors
+
+
+def sample_successor(state: RingState, size: int, rng: random.Random) -> Optional[RingState]:
+    """The successor ``rng.choice(ring_successors(state, size))`` would pick.
+
+    Counts the successors rule by rule in :func:`ring_successors` order,
+    makes the same single draw over their indices and builds only the chosen
+    state: ``O(r)`` per step instead of ``r`` successors of four ``r``-element
+    sets each, which is what lets a random walk cross a 1000-process ring.
+    ``None`` (and no draw) when the state has no successor.
+    """
+    rules = [
+        (sorted(state.neutral), lambda p: _local_move(state, p, "N", "D")),
+        (_handovers(state, size), lambda pair: _handover(state, *pair)),
+        (sorted(state.token_neutral), lambda p: _local_move(state, p, "T", "C")),
+        (
+            [] if state.delayed else sorted(state.critical),
+            lambda p: _local_move(state, p, "C", "T"),
+        ),
+    ]
+    total = sum(len(choices) for choices, _ in rules)
+    if total == 0:
+        return None
+    index = rng.choice(range(total))
+    for choices, build in rules:
+        if index < len(choices):
+            return build(choices[index])
+        index -= len(choices)
+    return None  # pragma: no cover - index < total
 
 
 def state_label(state: RingState) -> FrozenSet[IndexedProp]:
@@ -733,3 +774,24 @@ def ring_invariants() -> Dict[str, Formula]:
         "request_persistence": invariant_request_persistence(),
         "one_token": invariant_one_token(),
     }
+
+
+def ring_family(
+    size: int, fairness: bool = False
+) -> Tuple[Dict[str, Formula], Optional[FairnessConstraint]]:
+    """The ring property family as ``repro-mc`` checks it: ``(name -> formula, fairness)``.
+
+    Names carry ``property``/``invariant``/``fair liveness`` prefixes.  With
+    ``fairness`` the family gains :func:`fair_ring_properties`, which are
+    only true under :func:`ring_scheduler_fairness` (see E11), and that
+    constraint is returned.
+    """
+    family = {"property " + name: f for name, f in ring_properties().items()}
+    for name, formula in ring_invariants().items():
+        family["invariant " + name] = formula
+    family["invariant mutual_exclusion"] = ring_mutual_exclusion(size)
+    if not fairness:
+        return family, None
+    for name, formula in fair_ring_properties().items():
+        family["fair liveness " + name] = formula
+    return family, ring_scheduler_fairness(size)

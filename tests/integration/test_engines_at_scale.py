@@ -16,7 +16,6 @@ import pytest
 
 import repro.bdd.sanitize as bdd_sanitize
 from repro.analysis.explosion import symbolic_token_ring_explosion_sweep
-from repro.cli import _mutex_family, _ring_family
 from repro.errors import FragmentError
 from repro.kripke.paths import is_path
 from repro.logic.builders import exactly_one
@@ -144,8 +143,8 @@ def test_symbolic_ring12_work_ceilings():
 #: blocked cubes were seeded along their symmetry orbit: (obligations,
 #: generalization queries).  Seeding must at least halve both.
 _IC3_FAMILY_WORK = {
-    "mutex-12": (_mutex_family, mutex.symbolic_mutex, 12, (168, 332)),
-    "ring-8": (_ring_family, token_ring.symbolic_token_ring, 8, (148, 298)),
+    "mutex-12": (mutex.mutex_family, mutex.symbolic_mutex, 12, (168, 332)),
+    "ring-8": (token_ring.ring_family, token_ring.symbolic_token_ring, 8, (148, 298)),
 }
 
 

@@ -28,7 +28,6 @@ from repro.kripke.paths import is_path
 from repro.logic.ast import And, Atom, Implies, Not, Or
 from repro.logic.builders import AG, EF
 from repro.mc.bitset import BitsetCTLModelChecker
-from repro.mc.bmc import BoundedModelChecker
 from repro.mc.ic3 import IC3ModelChecker, _TransitionTemplate
 from repro.systems import mutex
 
@@ -114,8 +113,9 @@ def test_ic3_certificates_reverify_with_fresh_solvers(structure, body):
         assert not consecution.solve(
             [primed(literal) for literal in cube]
         ), "consecution violated"
-    front = BoundedModelChecker(structure, validate_structure=False)
-    property_fn = front._propositional_node(body)
+    # A fresh front end, so the property BDD is not the checker's cached one.
+    front = IC3ModelChecker(structure, validate_structure=False)
+    property_fn = front.propositional_fn(body)
     bad_fn = symbolic.function(symbolic.complement(property_fn.node))
     bad_literal = template.encode_state_set(consecution, bad_fn.node, {})
     assert not consecution.solve([bad_literal]), "safety violated"

@@ -104,6 +104,13 @@ class TestLassos:
         with pytest.raises(InconclusiveError):
             checker.check(AF(lor(atom("p"), atom("q"))))
 
+    def test_an_inconclusive_conjunct_does_not_hide_a_false_one(self, branching):
+        checker = BoundedModelChecker(branching, bound=4)
+        holds = AF(lor(atom("p"), atom("q")))  # BMC cannot prove liveness
+        assert checker.check(land(holds, AG(atom("p")))) is False
+        with pytest.raises(InconclusiveError):  # nothing decides it when the right one holds
+            checker.check(land(holds, AG(lor(atom("p"), lnot(atom("p"))))))
+
 
 class TestFragmentBoundaries:
     def test_nested_temporal_rejected(self, branching):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bdd.sanitize import assert_no_leaks
-from repro.cli import _mutex_family, _ring_family
 from repro.errors import FragmentError, InconclusiveError
 from repro.kripke.paths import is_path
 from repro.logic.ast import And, Atom, Exists, Finally, Implies, IndexedAtom, Not, Or
@@ -102,6 +101,17 @@ def test_frame_ceiling_raises_inconclusive():
     checker = IC3ModelChecker(structure, max_frames=1)
     with pytest.raises(InconclusiveError):
         checker.check(token_ring.ring_mutual_exclusion(4))
+
+
+def test_an_inconclusive_conjunct_does_not_hide_a_false_one():
+    checker = IC3ModelChecker(token_ring.symbolic_token_ring(4, domain="free"), max_frames=1)
+    exclusion = token_ring.ring_mutual_exclusion(4)
+    with pytest.raises(InconclusiveError):
+        checker.check(exclusion)
+    token_never_at_1 = AG(Not(IndexedAtom("t", 1)))  # false in the initial state
+    assert checker.check(And(exclusion, token_never_at_1)) is False
+    with pytest.raises(InconclusiveError):
+        checker.check(And(exclusion, Not(token_never_at_1)))
 
 
 def test_verdicts_are_memoised():
@@ -255,8 +265,12 @@ def test_trusted_certificate_is_closed_under_rotation():
 @pytest.mark.parametrize("size", range(3, 7))
 def test_seeded_verdicts_match_the_bitset_oracle(system, size, buggy):
     family_of, explicit, symbolic = {
-        "ring": (_ring_family, token_ring.build_token_ring, token_ring.symbolic_token_ring),
-        "mutex": (_mutex_family, mutex.build_mutex, mutex.symbolic_mutex),
+        "ring": (
+            token_ring.ring_family,
+            token_ring.build_token_ring,
+            token_ring.symbolic_token_ring,
+        ),
+        "mutex": (mutex.mutex_family, mutex.build_mutex, mutex.symbolic_mutex),
     }[system]
     family, _ = family_of(size, False)
     checker = IC3ModelChecker(symbolic(size, buggy=buggy, domain="free"))

@@ -17,7 +17,6 @@ back to instantiation, give the same edge, and say why in
 
 import pytest
 
-from repro.cli import _mutex_family, _ring_family
 from repro.logic.ast import IndexedAtom
 from repro.logic.builders import (
     AF,
@@ -86,7 +85,7 @@ def _assert_same_edges(structure, family, constraint):
 @pytest.mark.parametrize("size", range(1, 7))
 def test_ring_symmetric_path_matches_instantiation(size, buggy, fairness):
     structure = token_ring.symbolic_token_ring(size, buggy=buggy)
-    family, constraint = _ring_family(size, fairness)
+    family, constraint = token_ring.ring_family(size, fairness)
     probes = _probes("n", "d", "c")
     before = _reduced()
     _assert_same_edges(structure, family, constraint)
@@ -103,7 +102,7 @@ def test_ring_symmetric_path_matches_instantiation(size, buggy, fairness):
 @pytest.mark.parametrize("size", range(1, 6))
 def test_mutex_symmetric_path_matches_instantiation(size, buggy, fairness):
     structure = mutex.symbolic_mutex(size, buggy=buggy)
-    family, constraint = _mutex_family(size, fairness)
+    family, constraint = mutex.mutex_family(size, fairness)
     _assert_same_edges(structure, family, constraint)
     assert len(_assert_same_edges(structure, _probes("n", "r", "c"), constraint)) > 2
     # The quantified fair liveness property is what uses the symmetry.

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import _mutex_family, _ring_family
 from repro.errors import FragmentError, InconclusiveError
 from repro.mc.bmc import BoundedModelChecker
 from repro.mc.ic3 import IC3ModelChecker
 from repro.mc.symbolic import SymbolicCTLModelChecker
 from repro.obs.metrics import REGISTRY
-from repro.systems.mutex import symbolic_mutex
-from repro.systems.token_ring import symbolic_token_ring
+from repro.systems.mutex import mutex_family, symbolic_mutex
+from repro.systems.token_ring import ring_family, symbolic_token_ring
 
 
 @pytest.fixture(autouse=True)
@@ -57,7 +56,7 @@ def _assert_registry_matches(stats, engine, prefixes):
 
 def test_bmc_counters_survive_an_inconclusive_check():
     checker = BoundedModelChecker(symbolic_token_ring(4, domain="free"), bound=3)
-    outcomes = _check_all(checker, _ring_family(4, False)[0])
+    outcomes = _check_all(checker, ring_family(4, False)[0])
     assert outcomes["invariant mutual_exclusion"] == "inconclusive"
     assert checker.stats()["conflicts"] > 0
     _assert_registry_matches(checker.stats(), "bmc", ["sat"])
@@ -66,7 +65,7 @@ def test_bmc_counters_survive_an_inconclusive_check():
 
 def test_ic3_counters_survive_the_frame_ceiling():
     checker = IC3ModelChecker(symbolic_mutex(4, domain="free"), max_frames=1)
-    outcomes = _check_all(checker, _mutex_family(4, False)[0])
+    outcomes = _check_all(checker, mutex_family(4, False)[0])
     assert outcomes == {"invariant mutual_exclusion": "inconclusive"}
     assert checker.stats()["solve_calls"] > 0
     _assert_registry_matches(checker.stats(), "ic3", ["sat", "ic3"])
@@ -75,6 +74,6 @@ def test_ic3_counters_survive_the_frame_ceiling():
 
 def test_bdd_manager_counters_match_the_registry():
     checker = SymbolicCTLModelChecker(symbolic_token_ring(4))
-    outcomes = _check_all(checker, _ring_family(4, False)[0])
+    outcomes = _check_all(checker, ring_family(4, False)[0])
     assert all(verdict is True for verdict in outcomes.values())
     _assert_registry_matches(checker.symbolic.manager.stats().as_dict(), "bdd", ["bdd"])

@@ -1,5 +1,7 @@
 """Unit tests for the Section 5 token ring system."""
 
+import random
+
 import pytest
 
 from repro.errors import StructureError
@@ -22,6 +24,7 @@ from repro.systems.token_ring import (
     ring_invariants,
     ring_properties,
     ring_successors,
+    sample_successor,
     section5_correspondence,
     section5_degree,
     section5_index_relation,
@@ -112,6 +115,21 @@ def test_critical_process_keeps_token_only_when_nobody_is_delayed():
         critical=frozenset({1}),
     )
     assert all(s.token_neutral == frozenset() for s in ring_successors(with_delay, 2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("size", [3, 5, 8, 1000])
+def test_sample_successor_walks_exactly_like_choosing_from_ring_successors(size, seed):
+    reference_rng, sampling_rng = random.Random(seed), random.Random(seed)
+    reference = sampled = initial_state(size)
+    for _ in range(30 if size == 1000 else 80):
+        successors = ring_successors(reference, size)
+        reference = reference_rng.choice(successors) if successors else None
+        sampled = sample_successor(sampled, size, sampling_rng)
+        assert sampled == reference
+        if reference is None:
+            break
+    assert sampling_rng.random() == reference_rng.random()  # same draws consumed
 
 
 def test_state_label_follows_the_paper():
