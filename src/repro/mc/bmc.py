@@ -16,8 +16,10 @@ over the same stable variable ids, that ``engine="bdd"`` uses — into CNF.
 Time frame ``t`` owns one solver variable per state bit; a BDD over
 current/next variables is lowered by :func:`repro.sat.cnf.tseitin_bdd`
 with current bit ``k`` mapped to frame ``t`` and next bit ``k`` to frame
-``t + 1`` (one definition variable and four clauses per BDD node, complement
-edges free), and the relation's output literal is asserted once per step.
+``t + 1`` (one definition variable and six clauses per BDD node, two of them
+redundant so that propagation settles a node whose children agree;
+complement edges free), and the relation's output literal is asserted once
+per step.
 Everything is **incremental**: one
 :class:`~repro.sat.solver.Solver` per unrolling, frames appended as the
 bound grows, per-depth questions asked through assumptions, and every
@@ -266,7 +268,7 @@ class _SATFrontEnd:
     per-formula verdict memo, :meth:`check` with its span and counter,
     index-quantifier instantiation, propositional lowering to BDDs and the
     boolean/``AG``/``EF`` dispatch.  A subclass supplies
-    ``_decide_invariant`` and ``publish_metrics`` (and, for liveness,
+    ``_decide_invariant`` and ``_metric_groups`` (and, for liveness,
     :meth:`_decide_liveness`).
     """
 
@@ -350,6 +352,17 @@ class _SATFrontEnd:
         _metrics.counter("mc.checks", engine=self.engine).inc()
         self._verdicts[formula] = verdict
         return verdict
+
+    def _metric_groups(self) -> List[Tuple[str, Dict[str, int]]]:
+        """The ``(prefix, counters)`` pairs :meth:`publish_metrics` snapshots."""
+        raise NotImplementedError
+
+    def publish_metrics(self) -> None:
+        """Snapshot the engine's counters and the encoding's manager into the registry."""
+        for prefix, counters in self._metric_groups():
+            for field, value in counters.items():
+                _metrics.gauge(prefix + field, engine=self.engine).set(value)
+        self._symbolic.manager.publish_metrics(engine=self.engine)
 
     def propositional_fn(self, formula: Formula) -> BDDFunction:
         """The states satisfying the propositional ``formula``, as a pinned BDD."""
@@ -534,14 +547,10 @@ class BoundedModelChecker(_SATFrontEnd):
             unrollers.insert(0, self._falsifier)
         return unrollers
 
-    # -- public API ----------------------------------------------------------
+    def _metric_groups(self) -> List[Tuple[str, Dict[str, int]]]:
+        return [("sat.", self.stats())]
 
-    def publish_metrics(self) -> None:
-        """Snapshot the solver statistics and the encoding's manager into the registry."""
-        for field, value in self.stats().items():
-            if isinstance(value, int):
-                _metrics.gauge("sat." + field, engine="bmc").set(value)
-        self._symbolic.manager.publish_metrics(engine="bmc")
+    # -- public API ----------------------------------------------------------
 
     def invariant_counterexample(
         self, invariant: Formula, bound: Optional[int] = None

@@ -806,14 +806,8 @@ class IC3ModelChecker(_SATFrontEnd):
         payload.update(self._counters.as_dict())
         return payload
 
-    def publish_metrics(self, **labels: object) -> None:
-        """Snapshot the SAT/IC3 counters and the encoding's manager into the registry."""
-        labels.setdefault("engine", "ic3")
-        for field, value in self._solver_stats.as_dict().items():
-            _metrics.gauge("sat." + field, **labels).set(value)
-        for field, value in self._counters.as_dict().items():
-            _metrics.gauge("ic3." + field, **labels).set(value)
-        self._symbolic.manager.publish_metrics(**labels)
+    def _metric_groups(self) -> List[Tuple[str, Dict[str, int]]]:
+        return [("sat.", self._solver_stats.as_dict()), ("ic3.", self._counters.as_dict())]
 
     # -- public API ----------------------------------------------------------
 

@@ -11,7 +11,8 @@ clauses.
 Tseitin ``gate_*`` methods (each gate allocates one definition variable and
 emits the clauses making it equivalent to the gate's function), and
 :func:`tseitin_bdd` lowers a whole :mod:`repro.bdd` decision diagram — one
-definition variable per BDD node, four clauses per node, complement edges
+definition variable per BDD node, six clauses per node (the two redundant
+ones let propagation settle a node whose children agree), complement edges
 becoming negated literals for free.  Anything accepting ``new_var`` /
 ``add_clause`` (notably :class:`repro.sat.solver.Solver`) can serve as the
 sink of the ``gate_*`` helpers through :class:`ClauseSink` duck typing, which
@@ -114,12 +115,19 @@ class ClauseSink:
         return -self.gate_xor(left, right)
 
     def gate_ite(self, condition: int, then: int, orelse: int) -> int:
-        """``o ↔ (condition ? then : orelse)`` — the BDD node gate."""
+        """``o ↔ (condition ? then : orelse)`` — the BDD node gate.
+
+        The last two clauses are redundant (resolvents on ``condition``); they
+        let unit propagation set ``o`` as soon as ``then`` and ``orelse``
+        agree, before ``condition`` is assigned.
+        """
         output = self.new_var()
         self.add_clause((-output, -condition, then))
         self.add_clause((-output, condition, orelse))
         self.add_clause((output, -condition, -then))
         self.add_clause((output, condition, -orelse))
+        self.add_clause((-output, then, orelse))
+        self.add_clause((output, -then, -orelse))
         return output
 
 
@@ -190,11 +198,13 @@ def tseitin_bdd(
     ``var_literals`` maps every BDD *variable id* in the edge's support to the
     CNF literal carrying it (this is how the bounded model checker points the
     same transition-relation BDD at different time frames).  One definition
-    variable and four clauses are emitted per BDD node; complement edges cost
-    nothing — they negate the returned literal.  ``cache`` (node → definition
-    literal) may be shared across calls that use the *same* ``var_literals``
-    mapping, so a node shared by several edges lowered into the same time
-    frame is encoded once.
+    variable and six clauses are emitted per BDD node — the four defining
+    ones plus two redundant ones that let propagation settle a node whose
+    children agree; complement edges cost nothing — they negate the
+    returned literal.  ``cache`` (node → definition literal) may be shared
+    across calls that use the *same* ``var_literals`` mapping, so a node
+    shared by several edges lowered into the same time frame is encoded
+    once.
     """
     if cache is None:
         cache = {}

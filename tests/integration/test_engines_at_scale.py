@@ -6,10 +6,10 @@ the SAT engines refute the seeded bugs and prove the invariants they can,
 next to the BDD engine on the same families.  Exact counts (``r·2^r``
 reachable states, counterexample depths, "proved by 1-induction"), the
 peak-live-node ceilings, the r = 12 work ceilings, the IC3 work ceilings,
-the counter-18 peak ceiling, the node-table pins and the relation
-fingerprints are deterministic, so they gate regressions without timing
-anything; wall time is measured by the repo benchmark
-(``perfbench/run.py``).
+the SAT conflict ceilings, the counter-18 peak ceiling, the node-table
+pins and the relation fingerprints are deterministic, so they gate
+regressions without timing anything; wall time is measured by the repo
+benchmark (``perfbench/run.py``).
 """
 
 import pytest
@@ -161,6 +161,31 @@ def test_ic3_symmetry_work_ceilings(name):
     stats = checker.stats()
     assert stats["obligations"] <= obligations // 2, stats
     assert stats["generalization_queries"] <= queries // 2, stats
+
+
+#: SAT conflicts over the whole CLI property family, summed per checker,
+#: when each BDD node was lowered to its four defining clauses only.  The
+#: two redundant ITE clauses must cut them to at most 60 %.
+_SAT_FAMILY_CONFLICTS = {
+    "bmc-buggy-ring-12": (
+        BoundedModelChecker, token_ring.ring_family, token_ring.symbolic_token_ring, True, 1087
+    ),
+    "ic3-mutex-12": (IC3ModelChecker, mutex.mutex_family, mutex.symbolic_mutex, False, 2033),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAT_FAMILY_CONFLICTS))
+def test_sat_conflict_ceilings(name):
+    engine, family_of, build, buggy, conflicts = _SAT_FAMILY_CONFLICTS[name]
+    family, _ = family_of(12, False)
+    checker = engine(build(12, buggy=buggy, domain="free"))
+    for formula in family.values():
+        try:
+            checker.check(formula)
+        except FragmentError:
+            continue  # liveness: outside the SAT engines' fragment
+    stats = checker.stats()
+    assert stats["conflicts"] <= conflicts * 60 // 100, stats
 
 
 #: The node table each direct encoding leaves behind: the initial-state and

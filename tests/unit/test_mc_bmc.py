@@ -194,6 +194,14 @@ class TestRingAcceptance:
         stats = checker.stats()
         assert stats["solve_calls"] >= 2  # one base query, one induction query
 
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_kinduction_proof_is_drat_certified(self, size):
+        free = token_ring.symbolic_token_ring(size, domain="free")
+        checker = BoundedModelChecker(free, bound=8, drat=True)
+        assert checker.check(token_ring.invariant_one_token())
+        assert "induction" in checker.last_detail
+        assert checker.last_proof_stats["unsat_checks"] >= 1
+
     def test_prove_invariant_reports_induction_length(self):
         free = token_ring.symbolic_token_ring(5, domain="free")
         checker = BoundedModelChecker(free, bound=8)

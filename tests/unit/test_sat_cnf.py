@@ -61,6 +61,18 @@ class TestGates:
             assert (model[abs(e)] == (e > 0)) == (va == vb)
             assert (model[abs(t)] == (t > 0)) == (vb if va else vc)
 
+    @pytest.mark.parametrize("agreeing", [True, False])
+    def test_gate_ite_propagates_agreeing_branches(self, agreeing):
+        """Branches that agree settle the output by propagation alone, with no conflict."""
+        from repro.sat.solver import Solver
+
+        solver = Solver()
+        c, t, e = (solver.new_var() for _ in range(3))
+        o = solver.gate_ite(c, t, e)
+        sign = 1 if agreeing else -1
+        assert not solver.solve([sign * t, sign * e, -sign * o])
+        assert solver.stats.conflicts == 0
+
     def test_empty_gates_are_constants(self):
         cnf = CNF()
         assert cnf.gate_and([]) == cnf.true_literal()

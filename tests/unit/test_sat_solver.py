@@ -350,10 +350,10 @@ def _ic3_free_ring_stats():
         pytest.param(lambda: _random_3cnf_stats(2), (134, 155, 1835, 129, 1), id="3cnf-seed2"),
         pytest.param(lambda: _random_3cnf_stats(3), (93, 108, 1664, 93, 0), id="3cnf-seed3"),
         pytest.param(lambda: _random_3cnf_stats(4), (56, 88, 876, 54, 0), id="3cnf-seed4"),
-        pytest.param(_bmc_buggy_mutex_stats, (759, 2064, 176029, 752, 3), id="bmc-buggy-mutex-4"),
-        pytest.param(_ic3_mutex_stats, (0, 0, 56, 0, 0), id="ic3-mutex-4"),
-        pytest.param(_ic3_free_mutex_stats, (355, 1053, 14873, 341, 0), id="ic3-free-mutex-4"),
-        pytest.param(_ic3_free_ring_stats, (491, 1090, 21035, 465, 0), id="ic3-free-ring-4"),
+        pytest.param(_bmc_buggy_mutex_stats, (201, 355, 50982, 198, 1), id="bmc-buggy-mutex-4"),
+        pytest.param(_ic3_mutex_stats, (0, 0, 138, 0, 0), id="ic3-mutex-4"),
+        pytest.param(_ic3_free_mutex_stats, (114, 320, 7773, 108, 0), id="ic3-free-mutex-4"),
+        pytest.param(_ic3_free_ring_stats, (157, 319, 11196, 149, 0), id="ic3-free-ring-4"),
     ],
 )
 def test_search_is_pinned(run, expected):
