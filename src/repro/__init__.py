@@ -34,18 +34,30 @@ Quick start::
     assert result.holds          # verified on M_2, valid for M_5 by Theorem 5
 """
 
-from repro import analysis, bdd, correspondence, kripke, logic, mc, network, systems
-from repro.errors import (
-    CompositionError,
-    CorrespondenceError,
-    FormulaError,
-    FragmentError,
-    ModelCheckingError,
-    ParseError,
-    ReproError,
-    RestrictionError,
-    StructureError,
-    ValidationError,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analysis": None,
+        "bdd": None,
+        "correspondence": None,
+        "kripke": None,
+        "logic": None,
+        "mc": None,
+        "network": None,
+        "systems": None,
+        "CompositionError": "errors",
+        "CorrespondenceError": "errors",
+        "FormulaError": "errors",
+        "FragmentError": "errors",
+        "ModelCheckingError": "errors",
+        "ParseError": "errors",
+        "ReproError": "errors",
+        "RestrictionError": "errors",
+        "StructureError": "errors",
+        "ValidationError": "errors",
+    },
 )
 
 __version__ = "1.0.0"

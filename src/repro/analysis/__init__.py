@@ -1,14 +1,20 @@
 """Analysis helpers: state-explosion sweeps, timing, and the experiment drivers."""
 
-from repro.analysis.explosion import (
-    ExplosionPoint,
-    SymbolicExplosionPoint,
-    sample_large_ring_correspondence,
-    symbolic_token_ring_explosion_sweep,
-    token_ring_explosion_sweep,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ExplosionPoint": "explosion",
+        "SymbolicExplosionPoint": "explosion",
+        "sample_large_ring_correspondence": "explosion",
+        "symbolic_token_ring_explosion_sweep": "explosion",
+        "token_ring_explosion_sweep": "explosion",
+        "Timed": "timing",
+        "timed_call": "timing",
+        "experiments": None,
+    },
 )
-from repro.analysis.timing import Timed, timed_call
-from repro.analysis import experiments
 
 __all__ = [
     "ExplosionPoint",

@@ -17,13 +17,18 @@ The package provides a production-grade pure-Python ROBDD implementation:
 package and :mod:`repro.mc.symbolic` runs CTL fixpoints over them.
 """
 
-from repro.bdd.function import BDDFunction
-from repro.bdd.manager import (
-    FALSE,
-    TRUE,
-    BDDManager,
-    CacheStats,
-    ManagerStats,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "BDDFunction": "function",
+        "FALSE": "manager",
+        "TRUE": "manager",
+        "BDDManager": "manager",
+        "CacheStats": "manager",
+        "ManagerStats": "manager",
+    },
 )
 
 __all__ = [

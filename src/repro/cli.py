@@ -59,12 +59,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.analysis.timing import timed_call
-from repro.mc.bitset import ENGINE_NAMES, SAT_ENGINES
-from repro.mc.bmc import DEFAULT_BOUND
-from repro.mc.ic3 import DEFAULT_MAX_FRAMES
+# The registry module only: each engine is imported when a run builds it.
+from repro.mc.bitset import DEFAULT_BOUND, DEFAULT_MAX_FRAMES, ENGINE_NAMES, SAT_ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -234,25 +232,23 @@ _SYSTEMS = {
 }
 
 
-def _sources(system: str, size: int, buggy: bool):
-    """Engine -> :func:`~repro.runtime.portfolio.builder_source` of the structure it checks.
+def _recipes(system: str, size: int, buggy: bool):
+    """Engine -> ``(builder, args, kwargs)``: how to build the structure it checks.
 
     Each engine gets its natural encoding: the explicit engines the global
     state graph, ``bdd`` the direct symbolic encoding, and the SAT engines
     its free domain, which skips the symbolic reachability fixpoint — the
     whole point of the SAT engines is that the bound (bmc) or the
-    discovered invariant (ic3), not the reachable set, pays.
+    discovered invariant (ic3), not the reachable set, pays.  The builders
+    are functions of the family's ``repro.systems`` module.
     """
-    from repro.runtime.portfolio import builder_source
-
-    name, _, explicit, symbolic, _ = _SYSTEMS[system]
-    module = "repro.systems." + name
-    graph = builder_source(module, explicit, size, buggy=buggy)
-    free = builder_source(module, symbolic, size, buggy=buggy, domain="free")
+    _, _, explicit, symbolic, _ = _SYSTEMS[system]
+    graph = (explicit, (size,), {"buggy": buggy})
+    free = (symbolic, (size,), {"buggy": buggy, "domain": "free"})
     return {
         "bitset": graph,
         "naive": graph,
-        "bdd": builder_source(module, symbolic, size, buggy=buggy),
+        "bdd": (symbolic, (size,), {"buggy": buggy}),
         "bmc": free,
         "ic3": free,
     }
@@ -268,6 +264,25 @@ def _make_budget(timeout: Optional[float], memory_limit: Optional[int]):
         deadline_s=timeout,
         memory_bytes=None if memory_limit is None else memory_limit * 1024 * 1024,
     )
+
+
+def _timed_phase(
+    phases: List[Dict[str, Any]], name: str, function: Callable[..., Any], *args: Any, **kwargs: Any
+) -> Any:
+    """Call ``function`` and append its monotonic seconds to ``phases`` as phase ``name``.
+
+    The phase is recorded even when the call raises, so undecided checks
+    (skipped, inconclusive, out of budget, crashed) are timed too.  With
+    tracing enabled the call is a ``timed.<function>`` span.
+    """
+    from repro.obs.trace import monotonic_ns, span
+
+    start = monotonic_ns()
+    try:
+        with span("timed." + getattr(function, "__name__", "call")):
+            return function(*args, **kwargs)
+    finally:
+        phases.append({"name": name, "seconds": (monotonic_ns() - start) / 1e9})
 
 
 def _run_check(
@@ -296,33 +311,42 @@ def _run_check(
     module, family_name, _, _, display = _SYSTEMS[system]
     systems = importlib.import_module("repro.systems." + module)
     family, constraint = getattr(systems, family_name)(size, fairness)
-    sources = _sources(system, size, buggy)
+    recipes = _recipes(system, size, buggy)
     label = display % size
     if buggy:
         label += " (buggy)"
     budget = _make_budget(timeout, memory_limit)
+    phases: List[Dict[str, Any]] = []
 
     if engine == "portfolio":
-        from repro.runtime.portfolio import DEFAULT_RACE_ENGINES, PortfolioModelChecker
+        from repro.runtime.portfolio import (
+            DEFAULT_RACE_ENGINES,
+            PortfolioModelChecker,
+            builder_source,
+        )
 
         if constraint is not None:  # pragma: no cover - rejected by main()
             raise FragmentError("the portfolio engine rejects fairness")
-        built = timed_call(
+        checker = _timed_phase(
+            phases,
+            "build",
             PortfolioModelChecker,
-            sources={name: sources[name] for name in DEFAULT_RACE_ENGINES},
+            sources={
+                name: builder_source(systems.__name__, builder, *args, **kwargs)
+                for name, (builder, args, kwargs) in recipes.items()
+                if name in DEFAULT_RACE_ENGINES
+            },
             workers=workers,
             bound=bound,
             budget=budget,
         )
         structure = None
-        checker = built.value
         descriptor = "parallel portfolio racing %s" % ", ".join(checker.engines)
     else:
         from repro.mc.indexed import make_checker
 
-        _, _, builder, args, kwargs = sources[engine]
-        built = timed_call(getattr(systems, builder), *args, **kwargs)
-        structure = built.value
+        builder, args, kwargs = recipes[engine]
+        structure = _timed_phase(phases, "build", getattr(systems, builder), *args, **kwargs)
         checker = make_checker(structure, engine=engine, fairness=constraint, bound=bound)
         if engine == "bmc":
             descriptor = "SAT unrolling of the direct encoding, bound=%d" % checker.bound
@@ -347,14 +371,14 @@ def _run_check(
     else:
         print("  states      : %d" % structure.num_states, file=out)
         print("  transitions : %d" % structure.num_transitions, file=out)
-    print("  build       : %.4fs" % built.seconds, file=out)
+    print("  build       : %.4fs" % phases[0]["seconds"], file=out)
     print("", file=out)
     print("  %-34s %-8s %s" % ("check", "verdict", "seconds"), file=out)
     all_hold = True
-    # (name, verdict text) of every property no engine decided; an undecided
-    # property is not a violation — the exit code reflects what was decided.
+    # (name, verdict text, seconds) of every property no engine decided; an
+    # undecided property is not a violation — the exit code reflects what
+    # was decided.
     undecided = []
-    phases = [{"name": "build", "seconds": built.seconds}]
     # For the in-process engines a budget is enforced at their cooperative
     # checkpoints; the portfolio hands it to the workers instead.
     budget_scope = contextlib.nullcontext()
@@ -370,27 +394,28 @@ def _run_check(
     with budget_scope, teardown:
         for name, formula in family.items():
             try:
-                checked = timed_call(checker.check, formula)
+                holds = _timed_phase(phases, "check %s" % name, checker.check, formula)
             except FragmentError:
-                undecided.append((name, "skipped (outside the %s fragment)" % engine))
+                verdict = "skipped (outside the %s fragment)" % engine
+                undecided.append((name, verdict, phases[-1]["seconds"]))
                 continue
             except InconclusiveError:
-                undecided.append((name, "INCONCLUSIVE (raise --bound)"))
+                undecided.append((name, "INCONCLUSIVE (raise --bound)", phases[-1]["seconds"]))
                 continue
             except BudgetExceededError as error:
-                undecided.append((name, "BUDGET EXHAUSTED (%s)" % error.resource))
+                verdict = "BUDGET EXHAUSTED (%s)" % error.resource
+                undecided.append((name, verdict, phases[-1]["seconds"]))
                 continue
             except EngineCrashError as error:
-                undecided.append((name, "CRASHED (%s)" % error))
+                undecided.append((name, "CRASHED (%s)" % error, phases[-1]["seconds"]))
                 continue
-            all_hold = all_hold and checked.value
-            phases.append({"name": "check %s" % name, "seconds": checked.seconds})
-            verdict = str(checked.value)
+            all_hold = all_hold and holds
+            verdict = str(holds)
             if (engine in SAT_ENGINES or engine == "portfolio") and checker.last_detail:
-                verdict = "%s (%s)" % (checked.value, checker.last_detail)
-            print("  %-34s %-8s %.4f" % (name, verdict, checked.seconds), file=out)
-    for name, verdict in undecided:
-        print("  %-34s %-8s" % (name, verdict), file=out)
+                verdict = "%s (%s)" % (holds, checker.last_detail)
+            print("  %-34s %-8s %.4f" % (name, verdict, phases[-1]["seconds"]), file=out)
+    for name, verdict, seconds in undecided:
+        print("  %-34s %-8s %.4f" % (name, verdict, seconds), file=out)
     print("", file=out)
     counts = "decided %d, undecided %d" % (len(family) - len(undecided), len(undecided))
     if not all_hold:
@@ -465,6 +490,7 @@ _EXPERIMENT_HEADLINES = {
 
 def _run_experiments(engine: str, quick: bool, out, profile: bool = False) -> bool:
     from repro.analysis import experiments
+    from repro.analysis.timing import timed_call
 
     print("running E1-E11 (engine=%s, quick=%s)" % (engine, quick), file=out)
     ran = timed_call(experiments.run_all, quick=quick, engine=engine)

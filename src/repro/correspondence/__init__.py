@@ -1,26 +1,29 @@
 """Correspondence (block bisimulation with degrees) and its indexed extension."""
 
-from repro.correspondence.blocks import BlockMatching, blocks_correspond, corresponding_path
-from repro.correspondence.check import (
-    find_correspondence,
-    minimal_degrees,
-    structures_correspond,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "BlockMatching": "blocks",
+        "blocks_correspond": "blocks",
+        "corresponding_path": "blocks",
+        "find_correspondence": "check",
+        "minimal_degrees": "check",
+        "structures_correspond": "check",
+        "assert_correspondence": "definition",
+        "correspondence_violations": "definition",
+        "is_correspondence": "definition",
+        "pair_clause_violations": "definition",
+        "IndexRelation": "indexed",
+        "IndexedCorrespondenceReport": "indexed",
+        "ParameterizedVerifier": "indexed",
+        "TransferredResult": "indexed",
+        "indexed_correspondence": "indexed",
+        "verify_index_relation": "indexed",
+        "CorrespondenceRelation": "relation",
+    },
 )
-from repro.correspondence.definition import (
-    assert_correspondence,
-    correspondence_violations,
-    is_correspondence,
-    pair_clause_violations,
-)
-from repro.correspondence.indexed import (
-    IndexRelation,
-    IndexedCorrespondenceReport,
-    ParameterizedVerifier,
-    TransferredResult,
-    indexed_correspondence,
-    verify_index_relation,
-)
-from repro.correspondence.relation import CorrespondenceRelation
 
 __all__ = [
     "CorrespondenceRelation",

@@ -12,16 +12,25 @@ Programmatic entry points::
     findings = run_lint(["src"])     # [] when the tree is clean
 """
 
-from .engine import (
-    build_parser,
-    find_observability_doc,
-    lint_path,
-    lint_source,
-    lint_text,
-    main,
-    run_lint,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "build_parser": "engine",
+        "find_observability_doc": "engine",
+        "lint_path": "engine",
+        "lint_source": "engine",
+        "lint_text": "engine",
+        "main": "engine",
+        "run_lint": "engine",
+        "RULES": "rules",
+        "RULES_BY_ID": "rules",
+        "Finding": "rules",
+        "LintContext": "rules",
+        "load_obs_vocabulary": "rules",
+    },
 )
-from .rules import RULES, RULES_BY_ID, Finding, LintContext, load_obs_vocabulary
 
 __all__ = [
     "Finding",

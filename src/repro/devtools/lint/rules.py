@@ -12,7 +12,8 @@ invariant this codebase has historically broken by hand:
 ``R004``  Literal span/metric names must belong to the vocabulary
           documented in ``docs/OBSERVABILITY.md``.
 ``R005``  No bare/blanket ``except`` that swallows the exception.
-``R006``  ``__all__`` must only export names the module actually binds.
+``R006``  ``__all__`` must only export names the module actually binds
+          (lazy re-exports included: their targets must exist).
 ========  ==============================================================
 
 Rules receive a :class:`LintContext` and yield :class:`Finding` tuples;
@@ -23,9 +24,10 @@ driver in :mod:`repro.devtools.lint.engine`, not here.
 from __future__ import annotations
 
 import ast
+import os
 import re
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Finding",
@@ -436,12 +438,51 @@ class BlanketExceptRule(Rule):
 # ---------------------------------------------------------------------------
 
 
+def _lazy_table(body: Sequence[ast.stmt]) -> List[Tuple[ast.expr, object]]:
+    """``(key node, target)`` of the table a module hands to ``lazy_exports``.
+
+    The table is the dict literal passed as the second argument of
+    :func:`repro._lazy.lazy_exports`; a target is a string or ``None``.
+    Entries that are not literals are left out.
+    """
+    for stmt in body:
+        call = getattr(stmt, "value", None)
+        if not (isinstance(stmt, ast.Assign) and isinstance(call, ast.Call)):
+            continue
+        func = call.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called != "lazy_exports" or len(call.args) < 2:
+            continue
+        table = call.args[1]
+        if not isinstance(table, ast.Dict):
+            return []
+        return [
+            (key, value.value)
+            for key, value in zip(table.keys, table.values)
+            if isinstance(key, ast.Constant)
+            and isinstance(key.value, str)
+            and isinstance(value, ast.Constant)
+            and (value.value is None or isinstance(value.value, str))
+        ]
+    return []
+
+
+def _module_file(package_dir: str, module: str) -> Optional[str]:
+    """The source file of ``module`` (dotted, relative to ``package_dir``), if any."""
+    base = os.path.join(package_dir, *module.split("."))
+    for candidate in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(candidate):
+            return candidate
+    return None
+
+
 class DunderAllRule(Rule):
     id = "R006"
     title = "__all__ entries must name module bindings"
     rationale = (
         "__all__ is the public contract: an entry that no longer exists "
-        "breaks `from module import *` and misleads readers about the API."
+        "breaks `from module import *` and misleads readers about the API; "
+        "a lazy re-export whose target is gone fails only when first read."
     )
 
     def _top_level_names(self, body: Sequence[ast.stmt]) -> Iterable[str]:
@@ -475,7 +516,48 @@ class DunderAllRule(Rule):
                                 if isinstance(name_node, ast.Name):
                                     yield name_node.id
 
+    def _bound_in_file(self, path: str) -> FrozenSet[str]:
+        """Names the module at ``path`` binds, its own lazy re-exports included."""
+        with open(path, encoding="utf-8") as handle:
+            body = ast.parse(handle.read(), filename=path).body
+        names = set(self._top_level_names(body))
+        names.update(key.value for key, _ in _lazy_table(body))
+        return frozenset(names)
+
+    def _lazy_findings(self, lazy, ctx) -> Iterator[Finding]:
+        """Flag lazy entries whose target module or attribute does not exist."""
+        if not os.path.isfile(ctx.path):
+            return  # a source without a file has no package to resolve against
+        package_dir = os.path.dirname(os.path.abspath(ctx.path))
+        bound: Dict[str, FrozenSet[str]] = {}  # target file -> its names, parsed once
+        for key, target in lazy:
+            name = key.value
+            module, _, attribute = (name if target is None else target).partition(":")
+            path = _module_file(package_dir, module)
+            if path is None:
+                yield self._finding(
+                    ctx,
+                    key.lineno,
+                    key.col_offset,
+                    "lazy export %r names module %r, which does not exist" % (name, module),
+                )
+                continue
+            if target is None:
+                continue  # the export is the submodule itself
+            if path not in bound:
+                bound[path] = self._bound_in_file(path)
+            if (attribute or name) not in bound[path]:
+                yield self._finding(
+                    ctx,
+                    key.lineno,
+                    key.col_offset,
+                    "lazy export %r names %r, which module %r never binds"
+                    % (name, attribute or name, module),
+                )
+
     def check_module(self, tree, source, ctx):
+        lazy = _lazy_table(tree.body)
+        yield from self._lazy_findings(lazy, ctx)
         exported = None
         for stmt in tree.body:
             if (
@@ -496,6 +578,7 @@ class DunderAllRule(Rule):
             else:
                 return  # dynamically built __all__: out of scope
         defined = set(self._top_level_names(tree.body))
+        defined.update(key.value for key, _ in lazy)
         seen = set()
         for name, lineno, col in entries:
             if name in seen:

@@ -14,6 +14,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 from repro.errors import ReproError, StructureError
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import KripkeStructure, Label, State
+from repro.obs import metrics as _metrics
+from repro.obs.trace import span as _span
 
 __all__ = ["KripkeBuilder", "IndexedKripkeBuilder", "build_reachable"]
 
@@ -30,34 +32,59 @@ def build_reachable(
 ) -> IndexedKripkeStructure:
     """Explore the states reachable from ``initial`` and freeze them into a structure.
 
-    Depth-first over ``successors``; each state is labelled by ``label``.
-    When the exploration finds more than ``max_states`` states it raises
-    ``overflow(max_states)``, so every caller keeps its own error type and
-    message.
+    Depth-first over ``successors``; each state is numbered when first found
+    and each explored state keeps its successors as numbers.  The graph is
+    then renumbered in ``repr`` order and emitted directly as the bitset
+    table of :class:`~repro.kripke.compiled.CompiledKripkeStructure`, labelled
+    by ``label``, with no dict-of-sets structure in between (see
+    :meth:`IndexedKripkeStructure.from_table`).  When the exploration finds
+    more than ``max_states`` states it raises ``overflow(max_states)``, so
+    every caller keeps its own error type and message.
     """
-    states = {initial}
-    transitions: Dict[State, List[State]] = {}
-    frontier = [initial]
+    number: Dict[State, int] = {initial: 0}
+    found: List[State] = [initial]
+    rows: List[List[int]] = [[]]
+    frontier = [0]
     while frontier:
         current = frontier.pop()
-        targets = successors(current)
-        transitions[current] = targets
-        for target in targets:
-            if target not in states:
-                states.add(target)
-                frontier.append(target)
-                if max_states is not None and len(states) > max_states:
+        row = rows[current]
+        for target in successors(found[current]):
+            fresh = len(found)
+            j = number.setdefault(target, fresh)
+            if j == fresh:
+                found.append(target)
+                rows.append([])
+                frontier.append(j)
+                if max_states is not None and fresh >= max_states:
                     raise overflow(max_states)
-    labeling = {state: label(state) for state in states}
-    return IndexedKripkeStructure(
-        states,
-        transitions,
-        labeling,
-        initial,
-        index_values=index_values,
-        indexed_prop_names=indexed_prop_names,
-        name=name,
-    )
+            row.append(j)
+
+    with _span("build.compile", kind="bitset") as sp:
+        # The table's order is the one every compile uses: states by repr.
+        keys = [repr(state) for state in found]
+        order = sorted(range(len(found)), key=keys.__getitem__)
+        rank = [0] * len(found)
+        for position, i in enumerate(order):
+            rank[i] = position
+        states = tuple(found[i] for i in order)
+        succ_lists = [tuple(sorted({rank[j] for j in rows[i]})) for i in order]
+        prop_masks: Dict[Label, int] = {}
+        for position, state in enumerate(states):
+            bit = 1 << position
+            for element in label(state):
+                prop_masks[element] = prop_masks.get(element, 0) | bit
+        structure = IndexedKripkeStructure.from_table(
+            states,
+            succ_lists,
+            prop_masks,
+            initial,
+            index_values=index_values,
+            indexed_prop_names=indexed_prop_names,
+            name=name,
+        )
+        sp.set(states=len(states))
+    _metrics.gauge("build.states").set(len(states))
+    return structure
 
 
 class KripkeBuilder:

@@ -19,10 +19,9 @@ it (see :class:`repro.mc.bitset.BitsetCTLModelChecker`).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, KeysView, List, Optional, Tuple
 
 from repro.errors import StructureError
-from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import (
     IndexedProp,
     KripkeStructure,
@@ -80,28 +79,69 @@ class CompiledKripkeStructure:
     """
 
     def __init__(self, source: KripkeStructure) -> None:
+        ordered = tuple(sorted(source.states, key=repr))
+        index_of = {state: i for i, state in enumerate(ordered)}
+        succ_lists = [
+            tuple(sorted(index_of[t] for t in source.successors(state))) for state in ordered
+        ]
+        prop_masks: Dict[Label, int] = {}
+        for i, state in enumerate(ordered):
+            bit = 1 << i
+            for element in source.label(state):
+                prop_masks[element] = prop_masks.get(element, 0) | bit
+        self._freeze(source, ordered, index_of, succ_lists, prop_masks)
+
+    @classmethod
+    def from_table(
+        cls,
+        source: KripkeStructure,
+        states: Tuple[State, ...],
+        succ_lists: List[Tuple[int, ...]],
+        prop_masks: Dict[Label, int],
+    ) -> "CompiledKripkeStructure":
+        """The compiled form of ``source``, handed over as its table.
+
+        ``states`` must be in ``repr`` order (the order :meth:`__init__`
+        assigns), ``succ_lists[i]`` the sorted, duplicate-free successor
+        indices of ``states[i]`` and ``prop_masks`` the states each label
+        element holds in.  This is how
+        :func:`repro.kripke.builders.build_reachable` emits an explored
+        graph without a dict-of-sets structure in between.
+        """
+        table = cls.__new__(cls)
+        index_of = dict(zip(states, range(len(states))))
+        table._freeze(source, states, index_of, succ_lists, prop_masks)
+        return table
+
+    def _freeze(
+        self,
+        source: KripkeStructure,
+        states: Tuple[State, ...],
+        index_of: Dict[State, int],
+        succ_lists: List[Tuple[int, ...]],
+        prop_masks: Dict[Label, int],
+    ) -> None:
         self._source = source
-        ordered = sorted(source.states, key=repr)
-        self._state_of: Tuple[State, ...] = tuple(ordered)
-        self._index_of: Dict[State, int] = {state: i for i, state in enumerate(ordered)}
-        n = len(ordered)
+        self._state_of: Tuple[State, ...] = states
+        self._index_of: Dict[State, int] = index_of
+        n = len(states)
         self._num_states = n
         self._all_mask = (1 << n) - 1
-        self._initial_index = self._index_of[source.initial_state]
+        try:
+            self._initial_index = index_of[source.initial_state]
+        except KeyError:
+            raise StructureError(
+                "initial state %r is not a member of the state set" % (source.initial_state,)
+            ) from None
 
-        succ_lists: List[Tuple[int, ...]] = []
         succ_masks: List[int] = []
-        for state in ordered:
-            targets = sorted(self._index_of[t] for t in source.successors(state))
-            succ_lists.append(tuple(targets))
+        pred_sets: List[List[int]] = [[] for _ in range(n)]
+        for i, targets in enumerate(succ_lists):
             mask = 0
             for t in targets:
                 mask |= 1 << t
-            succ_masks.append(mask)
-        pred_sets: List[List[int]] = [[] for _ in range(n)]
-        for i, targets in enumerate(succ_lists):
-            for t in targets:
                 pred_sets[t].append(i)
+            succ_masks.append(mask)
         self._succ_lists = tuple(succ_lists)
         self._succ_masks = tuple(succ_masks)
         self._pred_lists = tuple(tuple(sources) for sources in pred_sets)
@@ -112,18 +152,10 @@ class CompiledKripkeStructure:
                 mask |= 1 << s
             pred_masks.append(mask)
         self._pred_masks = tuple(pred_masks)
-
-        prop_masks: Dict[Label, int] = {}
-        for i, state in enumerate(ordered):
-            bit = 1 << i
-            for element in source.label(state):
-                prop_masks[element] = prop_masks.get(element, 0) | bit
         self._prop_masks = prop_masks
 
-        if isinstance(source, IndexedKripkeStructure):
-            self._index_values: Optional[FrozenSet[int]] = source.index_values
-        else:
-            self._index_values = None
+        # Only indexed structures have an index set I (Θ_i P_i needs it).
+        self._index_values: Optional[FrozenSet[int]] = getattr(source, "index_values", None)
         self._exactly_one_masks: Dict[str, int] = {}
 
     # -- basic accessors -----------------------------------------------------
@@ -188,6 +220,18 @@ class CompiledKripkeStructure:
     def is_total(self) -> bool:
         """Return ``True`` when every state has at least one successor."""
         return all(self._succ_masks)
+
+    def label_elements(self) -> KeysView[Label]:
+        """Every proposition that labels at least one state."""
+        return self._prop_masks.keys()
+
+    def labels(self) -> List[FrozenSet[Label]]:
+        """``labels()[i]`` is the label of the state with index ``i``."""
+        members: List[List[Label]] = [[] for _ in range(self._num_states)]
+        for element, mask in self._prop_masks.items():
+            for i in bits_of(mask):
+                members[i].append(element)
+        return [frozenset(label) for label in members]
 
     # -- set <-> mask conversions ---------------------------------------------
 

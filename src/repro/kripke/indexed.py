@@ -9,9 +9,10 @@ instance of proposition ``A`` belonging to process 5 is labelled ``A_5``.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Mapping, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple, Union
 
 from repro.errors import StructureError
+from repro.kripke.compiled import CompiledKripkeStructure
 from repro.kripke.structure import IndexedProp, KripkeStructure, Label, State
 from repro.logic.ast import ExactlyOne, Formula
 
@@ -44,10 +45,43 @@ class IndexedKripkeStructure(KripkeStructure):
     ) -> None:
         super().__init__(states, transitions, labeling, initial_state, name=name)
         self._index_values: FrozenSet[int] = frozenset(index_values)
+        self._check_propositions(indexed_prop_names)
+
+    @classmethod
+    def from_table(
+        cls,
+        states: Tuple[State, ...],
+        succ_lists: List[Tuple[int, ...]],
+        prop_masks: Dict[Label, int],
+        initial_state: State,
+        index_values: Iterable[int],
+        indexed_prop_names: Iterable[str] | None = None,
+        name: str | None = None,
+    ) -> "IndexedKripkeStructure":
+        """Freeze a state graph given directly as its bitset table.
+
+        The arguments after ``prop_masks`` are as for the constructor; the
+        first three are the table, laid out as
+        :meth:`~repro.kripke.compiled.CompiledKripkeStructure.from_table`
+        takes it.  The table becomes the structure's compiled form, and the
+        structure checks on it what the constructor checks on the dicts.
+        """
+        structure = cls.__new__(cls)
+        structure._initial_state = initial_state
+        structure._name = name
+        structure._index_values = frozenset(index_values)
+        structure._compiled_form = CompiledKripkeStructure.from_table(
+            structure, states, succ_lists, prop_masks
+        )
+        structure._check_propositions(indexed_prop_names)
+        return structure
+
+    def _check_propositions(self, indexed_prop_names: Iterable[str] | None) -> None:
+        """Check ``I`` is non-empty and every label's indexed propositions lie in ``IP × I``."""
         if not self._index_values:
             raise StructureError("an indexed Kripke structure needs a non-empty index set I")
-
-        inferred_names = {prop.name for prop in self.indexed_propositions}
+        props = self.indexed_propositions
+        inferred_names = {prop.name for prop in props}
         if indexed_prop_names is None:
             self._indexed_prop_names = frozenset(inferred_names)
         else:
@@ -57,7 +91,7 @@ class IndexedKripkeStructure(KripkeStructure):
                 raise StructureError(
                     "labels use indexed propositions not declared in IP: %s" % sorted(unknown)
                 )
-        for prop in self.indexed_propositions:
+        for prop in props:
             if prop.index not in self._index_values:
                 raise StructureError(
                     "label uses index value %r which is not in the index set I" % (prop.index,)

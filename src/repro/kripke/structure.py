@@ -53,6 +53,10 @@ class IndexedProp(NamedTuple):
 #: A label element is either a plain proposition name or an indexed proposition.
 Label = Union[str, IndexedProp]
 
+#: The dict-of-sets fields a structure frozen from its bitset table decodes
+#: on first use (see :meth:`KripkeStructure.__getattr__`).
+_VIEW_FIELDS = frozenset({"_states", "_successors", "_predecessors", "_labels"})
+
 
 class KripkeStructure:
     """A finite Kripke structure ``(S, R, L, s0)``.
@@ -78,6 +82,13 @@ class KripkeStructure:
     call :func:`repro.kripke.validation.validate` (or pass the structure
     through :func:`repro.kripke.reachable.restrict_to_reachable`) before model
     checking, since the CTL*/CTL semantics of the paper assume totality.
+
+    Structures explored by :func:`repro.kripke.builders.build_reachable` are
+    frozen straight into their bitset table
+    (:class:`~repro.kripke.compiled.CompiledKripkeStructure`) instead: the
+    sizes, totality and label elements are read from the table, and the
+    dict-of-sets view behind :meth:`successors`, :meth:`label` and the other
+    per-state accessors is decoded from it on first use.
     """
 
     def __init__(
@@ -119,6 +130,33 @@ class KripkeStructure:
             labels.setdefault(state, frozenset())
         self._labels = labels
 
+    def __getattr__(self, name: str):
+        # Only reached for attributes the instance lacks: the view fields of a
+        # structure frozen from its table, until this first read decodes them.
+        if name in _VIEW_FIELDS:
+            table = self._table()
+            if table is not None:
+                self._decode_view(table)
+                return self.__dict__[name]
+        raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+
+    def _decode_view(self, table) -> None:
+        states = table.states
+        self._states = frozenset(states)
+        self._successors = {
+            state: frozenset(states[t] for t in table.successors_of(i))
+            for i, state in enumerate(states)
+        }
+        self._predecessors = {
+            state: frozenset(states[s] for s in table.predecessors_of(i))
+            for i, state in enumerate(states)
+        }
+        self._labels = dict(zip(states, table.labels()))
+
+    def _table(self):
+        """The bitset table this structure was frozen from or compiled into, if any."""
+        return self.__dict__.get("_compiled_form")
+
     # -- transition-relation helpers ----------------------------------------
 
     @staticmethod
@@ -151,11 +189,15 @@ class KripkeStructure:
     @property
     def num_states(self) -> int:
         """``|S|``."""
-        return len(self._states)
+        table = self._table()
+        return len(self._states) if table is None else table.num_states
 
     @property
     def num_transitions(self) -> int:
         """``|R|``."""
+        table = self._table()
+        if table is not None:
+            return table.num_transitions
         return sum(len(successors) for successors in self._successors.values())
 
     def successors(self, state: State) -> FrozenSet[State]:
@@ -185,28 +227,28 @@ class KripkeStructure:
         except KeyError:
             raise StructureError("%r is not a state of this structure" % (state,)) from None
 
+    def _label_elements(self) -> Iterable[Label]:
+        """Every element of some label (possibly repeated)."""
+        table = self._table()
+        if table is not None:
+            return table.label_elements()
+        return (element for label in self._labels.values() for element in label)
+
     @property
     def atomic_propositions(self) -> FrozenSet[str]:
         """The non-indexed proposition names occurring in any label."""
-        names = set()
-        for label in self._labels.values():
-            for element in label:
-                if isinstance(element, str):
-                    names.add(element)
-        return frozenset(names)
+        return frozenset(e for e in self._label_elements() if isinstance(e, str))
 
     @property
     def indexed_propositions(self) -> FrozenSet[IndexedProp]:
         """The indexed propositions occurring in any label."""
-        props = set()
-        for label in self._labels.values():
-            for element in label:
-                if isinstance(element, IndexedProp):
-                    props.add(element)
-        return frozenset(props)
+        return frozenset(e for e in self._label_elements() if isinstance(e, IndexedProp))
 
     def is_total(self) -> bool:
         """Return ``True`` when every state has at least one successor."""
+        table = self._table()
+        if table is not None:
+            return table.is_total()
         return all(self._successors[state] for state in self._states)
 
     def __contains__(self, state: State) -> bool:

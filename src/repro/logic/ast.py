@@ -77,9 +77,7 @@ class Formula:
         return tuple(result)
 
     def __str__(self) -> str:  # pragma: no cover - thin delegation
-        from repro.logic.printer import format_formula
-
-        return format_formula(self)
+        return _printer.format_formula(self)
 
     # Convenience operator overloads.  These build derived nodes so that the
     # textual form of a formula matches how it was constructed in code.
@@ -318,3 +316,10 @@ def subformulas(formula: Formula) -> Tuple[Formula, ...]:
 
     visit(formula)
     return tuple(ordered)
+
+
+# The printer imports the node classes above, so it can only be loaded once
+# they exist.  Loading it here rather than inside ``Formula.__str__`` keeps a
+# formula's first ``str()`` (an error message raised in the middle of a
+# check) from importing a module.
+from repro.logic import printer as _printer  # noqa: E402

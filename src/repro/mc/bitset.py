@@ -69,6 +69,9 @@ from repro.logic.ast import (
 __all__ = [
     "BitsetCTLModelChecker",
     "CTL_ENGINES",
+    "DEFAULT_BOUND",
+    "DEFAULT_MAX_FRAMES",
+    "ENGINE_MODULES",
     "ENGINE_NAMES",
     "SAT_ENGINES",
     "make_ctl_checker",
@@ -94,6 +97,27 @@ ENGINE_NAMES = ("bitset", "naive", "bdd", "bmc", "ic3", "portfolio")
 #: ``bound``, report how a verdict was reached in ``last_detail``, and
 #: reject fairness constraints.
 SAT_ENGINES = ("bmc", "ic3")
+
+#: The module defining each engine's checker: what :func:`make_ctl_checker`
+#: imports when it builds one, and what the portfolio loads before its
+#: workers fork.
+ENGINE_MODULES = {
+    "bitset": "repro.mc.bitset",
+    "naive": "repro.mc.ctl",
+    "bdd": "repro.mc.symbolic",
+    "bmc": "repro.mc.bmc",
+    "ic3": "repro.mc.ic3",
+    "portfolio": "repro.runtime.portfolio",
+}
+
+#: The ``bound`` each SAT engine falls back to, kept beside the registry so
+#: that naming them (the CLI's ``--bound`` help) does not load the engines:
+#: the falsification/induction depth ceiling of ``bmc``, and the frame-count
+#: safety net of ``ic3`` (not a proof parameter: IC3 proofs are unbounded,
+#: and hitting the ceiling raises :class:`~repro.errors.InconclusiveError`
+#: instead of looping forever).
+DEFAULT_BOUND = 25
+DEFAULT_MAX_FRAMES = 100
 
 #: The engines computing full CTL *satisfaction sets* — the differential-
 #: testing set replayed by :func:`repro.mc.oracle.crosscheck_ctl_engines`.
@@ -531,7 +555,7 @@ def make_ctl_checker(
             structure, validate_structure=validate_structure, fairness=fairness
         )
     if engine == "bmc":
-        from repro.mc.bmc import DEFAULT_BOUND, BoundedModelChecker
+        from repro.mc.bmc import BoundedModelChecker
 
         return BoundedModelChecker(
             structure,
@@ -540,7 +564,7 @@ def make_ctl_checker(
             fairness=fairness,
         )
     if engine == "ic3":
-        from repro.mc.ic3 import DEFAULT_MAX_FRAMES, IC3ModelChecker
+        from repro.mc.ic3 import IC3ModelChecker
 
         return IC3ModelChecker(
             structure,

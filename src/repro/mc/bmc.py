@@ -90,6 +90,7 @@ from repro.logic.ast import (
     walk,
 )
 from repro.logic.transform import instantiate_quantifiers
+from repro.mc.bitset import DEFAULT_BOUND
 from repro.mc.fairness import FairnessConstraint, normalize_fairness
 from repro.obs import metrics as _metrics
 from repro.obs.progress import heartbeat as _heartbeat
@@ -99,9 +100,6 @@ from repro.sat.cnf import tseitin_bdd
 from repro.sat.solver import Solver, SolverStats
 
 __all__ = ["BoundedModelChecker", "DEFAULT_BOUND"]
-
-#: Default falsification/induction depth ceiling of :class:`BoundedModelChecker`.
-DEFAULT_BOUND = 25
 
 _ATOMIC = (TrueLiteral, FalseLiteral, Atom, IndexedAtom, ExactlyOne)
 

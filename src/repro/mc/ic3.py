@@ -69,9 +69,9 @@ from repro.errors import InconclusiveError, ModelCheckingError
 from repro.kripke.structure import KripkeStructure, State
 from repro.kripke.symbolic import SymbolicKripkeStructure
 from repro.logic.ast import Formula
+from repro.mc.bitset import DEFAULT_MAX_FRAMES
 from repro.mc.bmc import _SATFrontEnd, _Unroller
 from repro.mc.fairness import FairnessConstraint
-from repro.obs import metrics as _metrics
 from repro.obs.progress import heartbeat as _heartbeat
 from repro.obs.trace import span as _obs_span
 from repro.runtime.limits import checkpoint as _checkpoint
@@ -79,11 +79,6 @@ from repro.sat.cnf import CNF, tseitin_bdd
 from repro.sat.solver import Solver, SolverStats
 
 __all__ = ["IC3ModelChecker", "InvariantCertificate", "DEFAULT_MAX_FRAMES"]
-
-#: Frame-count safety net of :class:`IC3ModelChecker` (not a proof parameter:
-#: IC3 proofs are unbounded — hitting the ceiling raises
-#: :class:`~repro.errors.InconclusiveError` instead of looping forever).
-DEFAULT_MAX_FRAMES = 100
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,8 @@ class _TransitionTemplate:
             for clause in cnf.clauses:
                 self._solver.add_clause(clause)
             sp.set(bits=self.num_bits, cnf_vars=cnf.num_vars)
-        _metrics.gauge("ic3.template_cnf_vars").set(cnf.num_vars)
+        #: Variables of the template CNF (state bits plus Tseitin definitions).
+        self.cnf_vars = cnf.num_vars
 
     def new_solver(self) -> Solver:
         """A fresh incremental solver pre-loaded with the transition relation.
@@ -807,7 +803,10 @@ class IC3ModelChecker(_SATFrontEnd):
         return payload
 
     def _metric_groups(self) -> List[Tuple[str, Dict[str, int]]]:
-        return [("sat.", self._solver_stats.as_dict()), ("ic3.", self._counters.as_dict())]
+        ic3 = self._counters.as_dict()
+        if self._template is not None:
+            ic3["template_cnf_vars"] = self._template.cnf_vars
+        return [("sat.", self._solver_stats.as_dict()), ("ic3.", ic3)]
 
     # -- public API ----------------------------------------------------------
 

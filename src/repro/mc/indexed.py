@@ -36,12 +36,11 @@ rejected when fairness is set (fair CTL* is not implemented).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Union
 
 from repro.errors import FragmentError
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import KripkeStructure, State
-from repro.kripke.symbolic import SymbolicKripkeStructure
 from repro.kripke.validation import assert_total
 from repro.logic.ast import Formula, IndexExists, IndexForall, walk
 from repro.logic.syntax import (
@@ -53,6 +52,9 @@ from repro.logic.transform import free_index_variables, instantiate_quantifiers
 from repro.mc.bitset import SAT_ENGINES, make_ctl_checker
 from repro.mc.ctlstar import CTLStarModelChecker
 from repro.mc.fairness import FairnessConstraint, normalize_fairness
+
+if TYPE_CHECKING:
+    from repro.kripke.symbolic import SymbolicKripkeStructure
 
 __all__ = [
     "ICTLStarModelChecker",
@@ -202,9 +204,13 @@ def make_checker(
     already instantiated, which the Section 4 closedness restriction would
     reject.
     """
-    if engine in SAT_ENGINES or (
-        engine == "bdd" and isinstance(structure, SymbolicKripkeStructure)
-    ):
+    direct = engine in SAT_ENGINES
+    if engine == "bdd":
+        # Only bdd asks; it loads the symbolic layer anyway.
+        from repro.kripke.symbolic import SymbolicKripkeStructure
+
+        direct = isinstance(structure, SymbolicKripkeStructure)
+    if direct:
         return make_ctl_checker(structure, engine=engine, fairness=fairness, bound=bound)
     return ICTLStarModelChecker(
         structure, engine=engine, fairness=fairness, enforce_restrictions=False

@@ -1,8 +1,18 @@
 """Process templates and their compositions."""
 
-from repro.network.composition import GlobalRule, GlobalState, SharedVariableComposition
-from repro.network.free_product import free_product
-from repro.network.process import LocalTransition, ProcessTemplate
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "GlobalRule": "composition",
+        "GlobalState": "composition",
+        "SharedVariableComposition": "composition",
+        "free_product": "free_product",
+        "LocalTransition": "process",
+        "ProcessTemplate": "process",
+    },
+)
 
 __all__ = [
     "ProcessTemplate",

@@ -44,48 +44,46 @@ Naming conventions, sink formats, and a guided tour of an IC3 trace
 live in ``docs/OBSERVABILITY.md``.  The package is dependency-free
 (stdlib only) and must stay importable from every layer without
 creating cycles: nothing in ``repro.obs`` may import from the rest of
-``repro``.
+``repro`` except the stdlib-only :mod:`repro._lazy`, through which this
+``__init__`` loads each name below on first use.
 """
 
-from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    gauge,
-    histogram,
-)
-from repro.obs.progress import (
-    ProgressReporter,
-    disable_progress,
-    enable_progress,
-    heartbeat,
-)
-from repro.obs.collect import (
-    TelemetryCollector,
-    TraceContext,
-    WorkerTelemetry,
-)
-from repro.obs.sinks import (
-    ChromeTraceSink,
-    MemorySink,
-    write_metrics_jsonl,
-)
-from repro.obs.trace import (
-    SpanRecord,
-    Tracer,
-    clear_current_span,
-    current_span,
-    disable,
-    enable,
-    event,
-    get_tracer,
-    is_enabled,
-    monotonic_ns,
-    recording,
-    span,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "REGISTRY": "metrics",
+        "Counter": "metrics",
+        "Gauge": "metrics",
+        "Histogram": "metrics",
+        "MetricsRegistry": "metrics",
+        "counter": "metrics",
+        "gauge": "metrics",
+        "histogram": "metrics",
+        "ProgressReporter": "progress",
+        "disable_progress": "progress",
+        "enable_progress": "progress",
+        "heartbeat": "progress",
+        "TelemetryCollector": "collect",
+        "TraceContext": "collect",
+        "WorkerTelemetry": "collect",
+        "ChromeTraceSink": "sinks",
+        "MemorySink": "sinks",
+        "write_metrics_jsonl": "sinks",
+        "SpanRecord": "trace",
+        "Tracer": "trace",
+        "clear_current_span": "trace",
+        "current_span": "trace",
+        "disable": "trace",
+        "enable": "trace",
+        "event": "trace",
+        "get_tracer": "trace",
+        "is_enabled": "trace",
+        "monotonic_ns": "trace",
+        "recording": "trace",
+        "span": "trace",
+    },
 )
 
 __all__ = [

@@ -32,7 +32,6 @@ import contextlib
 import itertools
 import os
 import time
-import uuid
 from contextvars import ContextVar
 from typing import Any, Dict, Iterator, Optional, Sequence
 
@@ -213,7 +212,11 @@ class Tracer:
         #: Identifies this tracer's id space across processes: a worker's
         #: telemetry is only re-parented into the tracer whose trace id it
         #: was captured against (see :mod:`repro.obs.collect`).
-        self.trace_id = trace_id if trace_id is not None else uuid.uuid4().hex[:16]
+        if trace_id is None:
+            import uuid  # only a traced run pays for uuid (and its platform import)
+
+            trace_id = uuid.uuid4().hex[:16]
+        self.trace_id = trace_id
         self._ids = itertools.count(1)
         self._clock_ns = clock_ns
 

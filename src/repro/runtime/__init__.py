@@ -26,23 +26,29 @@ it decides:
     hangs, OOMs, and garbles workers so the recovery guarantees stay
     tested.
 
-Only ``limits`` and ``chaos`` are imported eagerly: the engine modules
-import :func:`repro.runtime.limits.checkpoint` from their hot paths, and
-pulling the supervisor/portfolio (which import the engines back) here
-would create an import cycle.  Semantics are documented in
+The package re-exports the ``limits`` and ``chaos`` names below, loaded
+by name on first use (:mod:`repro._lazy`): the engine modules import
+:func:`repro.runtime.limits.checkpoint` from their hot paths, and pulling
+the supervisor/portfolio (which import the engines back) in here would
+create an import cycle.  Semantics are documented in
 ``docs/RESILIENCE.md``.
 """
 
-from repro.runtime.chaos import ChaosConfig
-from repro.runtime.limits import (
-    CancelToken,
-    ResourceBudget,
-    active,
-    activate,
-    apply_memory_limit,
-    checkpoint,
-    current_budget,
-    deactivate,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ChaosConfig": "chaos",
+        "CancelToken": "limits",
+        "ResourceBudget": "limits",
+        "active": "limits",
+        "activate": "limits",
+        "apply_memory_limit": "limits",
+        "checkpoint": "limits",
+        "current_budget": "limits",
+        "deactivate": "limits",
+    },
 )
 
 __all__ = [

@@ -210,6 +210,16 @@ class PortfolioModelChecker:
             if workers < 1:
                 raise ModelCheckingError("portfolio needs at least one worker")
             race = dict(list(race.items())[:workers])
+        # Load what the workers import before they fork from this process:
+        # the checker dispatch, each raced engine and each builder's module.
+        # A worker importing them itself would pay for it inside the race.
+        from repro.mc.bitset import ENGINE_MODULES
+
+        importlib.import_module("repro.mc.indexed")
+        for name, source in race.items():
+            importlib.import_module(ENGINE_MODULES[name])
+            if source[0] == "builder":
+                importlib.import_module(source[1])
         self._race = race
         self.bound = bound
         self.budget = budget

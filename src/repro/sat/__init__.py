@@ -17,18 +17,25 @@ The bounded model checker (:mod:`repro.mc.bmc`) is the primary in-repo
 client: it unrolls BDD transition relations into a solver frame by frame.
 """
 
-from repro.sat.cnf import (
-    CNF,
-    ClauseSink,
-    SatError,
-    enumerate_models,
-    evaluate_clauses,
-    naive_satisfiable,
-    parse_dimacs,
-    to_dimacs,
-    tseitin_bdd,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CNF": "cnf",
+        "ClauseSink": "cnf",
+        "SatError": "cnf",
+        "enumerate_models": "cnf",
+        "evaluate_clauses": "cnf",
+        "naive_satisfiable": "cnf",
+        "parse_dimacs": "cnf",
+        "to_dimacs": "cnf",
+        "tseitin_bdd": "cnf",
+        "Solver": "solver",
+        "SolverStats": "solver",
+        "luby": "solver",
+    },
 )
-from repro.sat.solver import Solver, SolverStats, luby
 
 __all__ = [
     "CNF",

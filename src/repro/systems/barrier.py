@@ -15,7 +15,7 @@ correspondence-based parameterized-verification workflow.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.errors import StructureError
 from repro.kripke.indexed import IndexedKripkeStructure
@@ -23,7 +23,9 @@ from repro.logic.ast import Formula
 from repro.logic.builders import AF, AG, AU, iatom, implies, index_forall
 from repro.network.composition import GlobalRule, SharedVariableComposition
 from repro.network.process import LocalTransition, ProcessTemplate
-from repro.correspondence.indexed import IndexRelation
+
+if TYPE_CHECKING:
+    from repro.correspondence.indexed import IndexRelation
 
 __all__ = [
     "barrier_template",
@@ -76,6 +78,8 @@ def build_barrier(size: int) -> IndexedKripkeStructure:
 
 def barrier_index_relation(size: int) -> IndexRelation:
     """The ``IN`` relation used to transfer results from the 2-worker to the ``size``-worker barrier."""
+    from repro.correspondence.indexed import IndexRelation
+
     return IndexRelation.pivot(range(1, 3), range(1, size + 1), pivot=1)
 
 

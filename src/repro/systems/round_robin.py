@@ -16,7 +16,7 @@ serves as the reference example for composing custom families.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.errors import StructureError
 from repro.kripke.indexed import IndexedKripkeStructure
@@ -25,7 +25,9 @@ from repro.logic.ast import Formula
 from repro.logic.builders import AF, AG, exactly_one, iatom, implies, index_forall
 from repro.network.composition import SharedVariableComposition
 from repro.network.process import LocalTransition, ProcessTemplate
-from repro.correspondence.indexed import IndexRelation
+
+if TYPE_CHECKING:
+    from repro.correspondence.indexed import IndexRelation
 
 __all__ = [
     "round_robin_template",
@@ -89,6 +91,8 @@ def build_round_robin(size: int) -> IndexedKripkeStructure:
 
 def round_robin_index_relation(size: int) -> IndexRelation:
     """The ``IN`` relation used to transfer results from the 2-process to the ``size``-process scheduler."""
+    from repro.correspondence.indexed import IndexRelation
+
     return IndexRelation.pivot(range(1, 3), range(1, size + 1), pivot=1)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import StructureError
 from repro.kripke.builders import build_reachable
@@ -61,8 +61,12 @@ from repro.logic.builders import (
     lor,
 )
 from repro.mc.fairness import FairnessConstraint
-from repro.correspondence.indexed import IndexRelation
-from repro.correspondence.relation import CorrespondenceRelation
+
+if TYPE_CHECKING:
+    # Only the correspondence workflow needs these; a model-checking run of
+    # the ring does not load repro.correspondence.
+    from repro.correspondence.indexed import IndexRelation
+    from repro.correspondence.relation import CorrespondenceRelation
 
 __all__ = [
     "RingState",
@@ -499,6 +503,8 @@ def rank(state: RingState, index: int, size: int) -> int:
 
 def section5_index_relation(size: int) -> IndexRelation:
     """The paper's relation ``IN = {(1, 1)} ∪ {(2, i) : i ∈ I_r − {1}}`` between ``I_2`` and ``I_r``."""
+    from repro.correspondence.indexed import IndexRelation
+
     if size < 2:
         raise StructureError("the Section 5 correspondence needs at least two processes")
     pairs = {(1, 1)}
@@ -546,6 +552,8 @@ def section5_correspondence(
     whose correctness the appendix proves; the test-suite re-validates it with
     the generic definition checker.
     """
+    from repro.correspondence.relation import CorrespondenceRelation
+
     small_size = len(small.index_values)
     large_size = len(large.index_values)
     degrees: Dict[Tuple[RingState, RingState], int] = {}
@@ -581,6 +589,8 @@ def corrected_index_relation(small_size: int, large_size: int) -> IndexRelation:
     every related pair of reductions corresponds, so closed restricted ICTL*
     verdicts transfer from the small ring to the large one.
     """
+    from repro.correspondence.indexed import IndexRelation
+
     if small_size < 2 or large_size < 2:
         raise StructureError("both rings need at least two processes")
     pairs = {(1, 1)}

@@ -171,6 +171,33 @@ def test_profile_on_explicit_engine_has_no_bdd_section(capsys):
     assert payload["total_seconds"] >= 0
 
 
+def test_profile_times_undecided_checks_too(capsys):
+    import json
+
+    exit_code = main(
+        ["--engine", "bmc", "--system", "ring", "--size", "3", "--bound", "1", "--profile"]
+    )
+    captured = capsys.readouterr()
+    assert exit_code == 0
+    # Two decided, four skipped outside the fragment, mutual exclusion
+    # INCONCLUSIVE at bound 1: every one is a phase and a seconds column.
+    payload = json.loads(captured.err)
+    checks = [phase for phase in payload["phases"] if phase["name"].startswith("check ")]
+    assert len(checks) == 7
+    assert payload["total_seconds"] == pytest.approx(
+        sum(phase["seconds"] for phase in payload["phases"])
+    )
+    rows = [
+        line.split()
+        for line in captured.out.splitlines()
+        if line.startswith("  property ") or line.startswith("  invariant ")
+    ]
+    assert len(rows) == 7
+    assert sum("skipped" in row for row in rows) == 4
+    assert sum("INCONCLUSIVE" in row for row in rows) == 1
+    assert all(float(row[-1]) >= 0 for row in rows)
+
+
 def test_profile_with_experiments_emits_one_json_document(capsys):
     import json
 

@@ -19,6 +19,7 @@ from repro.devtools.lint import (
     LintContext,
     RULES,
     RULES_BY_ID,
+    lint_path,
     lint_source,
     lint_text,
     load_obs_vocabulary,
@@ -254,6 +255,36 @@ class TestR006DunderAll:
     def test_pragma_suppresses(self):
         source = "__all__ = ['ghost']  # repro-lint: disable=R006\n"
         assert lint_source(source, _ctx(), only=["R006"]) == []
+
+    def _lazy_package(self, tmp_path, table):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "good.py").write_text("def real():\n    pass\n")
+        init = package / "__init__.py"
+        init.write_text(
+            "from repro._lazy import lazy_exports\n\n"
+            "__getattr__, __dir__ = lazy_exports(__name__, {%s})\n\n"
+            "__all__ = [%s]\n"
+            % (
+                ", ".join("%r: %r" % entry for entry in table.items()),
+                ", ".join(repr(name) for name in table),
+            )
+        )
+        return str(init)
+
+    def test_lazy_exports_count_as_bound(self, tmp_path):
+        table = {"real": "good", "alias": "good:real", "good": None}
+        assert lint_path(self._lazy_package(tmp_path, table), only=["R006"]) == []
+
+    def test_planted_bad_lazy_entries_trigger(self, tmp_path):
+        table = {"real": "good", "ghost": "good", "gone": "missing", "nosub": None}
+        findings = lint_path(self._lazy_package(tmp_path, table), only=["R006"])
+        assert _rules(findings) == ["R006"] * 3
+        messages = "\n".join(finding.message for finding in findings)
+        assert "'ghost'" in messages and "never binds" in messages
+        assert "'gone'" in messages and "'missing'" in messages
+        assert "'nosub'" in messages
+        assert "'real'" not in messages
 
 
 # -- pragmas, driver, CLI -----------------------------------------------------

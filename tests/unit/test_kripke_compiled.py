@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import StructureError
+from repro.kripke.builders import build_reachable
 from repro.kripke.compiled import (
     CompiledKripkeStructure,
     bits_of,
@@ -12,6 +13,8 @@ from repro.kripke.compiled import (
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import IndexedProp, KripkeStructure
 from repro.logic.ast import Atom, ExactlyOne, FalseLiteral, IndexedAtom, Not, TrueLiteral
+from repro.mc.indexed import make_checker
+from repro.systems import barrier, counter, mutex, round_robin, token_ring
 
 
 def test_popcount_and_bits_roundtrip():
@@ -131,3 +134,113 @@ def test_is_total_flags_deadlocks():
     )
     compiled = compile_structure(structure)
     assert not compiled.is_total()
+
+
+# -- explicit families are built straight into their table ---------------------
+
+_BUILDERS = {
+    "ring": token_ring.build_token_ring,
+    "mutex": mutex.build_mutex,
+    "counter": counter.build_counter,
+}
+
+_FAMILIES = (
+    [("ring", size, buggy) for size in range(2, 7) for buggy in (False, True)]
+    + [("mutex", size, buggy) for size in range(2, 7) for buggy in (False, True)]
+    + [("counter", size, buggy) for size in range(3, 9) for buggy in (False, True)]
+)
+
+_VIEW_FIELDS = ("_states", "_successors", "_predecessors", "_labels")
+
+
+def _atom(element):
+    if isinstance(element, IndexedProp):
+        return IndexedAtom(element.name, element.index)
+    return Atom(element)
+
+
+def _assert_table_is_the_compile_of_its_view(structure):
+    table = compile_structure(structure)
+    assert table.source is structure
+    # Built straight into the table: no dict-of-sets view exists yet.
+    assert not any(field in vars(structure) for field in _VIEW_FIELDS)
+    # Compiling reads the accessors, which decode the view from the table.
+    compiled = CompiledKripkeStructure(structure)
+    assert compiled.states == table.states
+    assert compiled.initial_index == table.initial_index
+    assert compiled.all_mask == table.all_mask
+    for i in range(compiled.num_states):
+        assert compiled.successors_of(i) == table.successors_of(i)
+        assert compiled.predecessors_of(i) == table.predecessors_of(i)
+        assert compiled.successor_mask(i) == table.successor_mask(i)
+        assert compiled.predecessor_mask(i) == table.predecessor_mask(i)
+    elements = set(compiled.label_elements())
+    assert elements == set(table.label_elements())
+    for element in elements:
+        assert compiled.atom_mask(_atom(element)) == table.atom_mask(_atom(element))
+    for name in structure.indexed_prop_names:
+        theta = ExactlyOne(name)
+        assert compiled.atom_mask(theta) == table.atom_mask(theta)
+    assert compiled.labels() == table.labels()
+
+
+@pytest.mark.parametrize(("system", "size", "buggy"), _FAMILIES)
+def test_family_table_equals_a_compile_of_its_decoded_view(system, size, buggy):
+    _assert_table_is_the_compile_of_its_view(_BUILDERS[system](size, buggy=buggy))
+
+
+@pytest.mark.parametrize("build", [barrier.build_barrier, round_robin.build_round_robin])
+@pytest.mark.parametrize("size", [2, 3])
+def test_composition_table_equals_a_compile_of_its_decoded_view(build, size):
+    _assert_table_is_the_compile_of_its_view(build(size))
+
+
+def test_decoded_view_matches_the_exploration():
+    structure = token_ring.build_token_ring(3)
+    initial = structure.initial_state
+    assert structure.successors(initial) == frozenset(token_ring.ring_successors(initial, 3))
+    assert structure.label(initial) == token_ring.state_label(initial)
+    assert structure.num_states == len(structure.states)
+    assert structure.num_transitions == sum(
+        len(structure.successors(state)) for state in structure.states
+    )
+    for state in structure.states:
+        for target in structure.successors(state):
+            assert state in structure.predecessors(target)
+
+
+def test_bitset_checks_never_decode_the_view():
+    structure = token_ring.build_token_ring(4)
+    properties, _ = token_ring.ring_family(4)
+    checker = make_checker(structure, engine="bitset")
+    assert all(checker.check(formula) for formula in properties.values())
+    assert structure.is_total() and structure.num_transitions > structure.num_states
+    assert not any(field in vars(structure) for field in _VIEW_FIELDS)
+
+
+def _explore(label, **kwargs):
+    return build_reachable(
+        0,
+        lambda state: [(state + 1) % 3],
+        label,
+        index_values=[1, 2],
+        name="planted",
+        overflow=lambda bound: StructureError("overflow at %d" % bound),
+        **kwargs,
+    )
+
+
+def test_planted_out_of_range_index_still_raises():
+    with pytest.raises(StructureError, match="not in the index set"):
+        _explore(lambda state: {IndexedProp("p", 99 if state == 2 else 1)})
+
+
+def test_planted_undeclared_proposition_name_still_raises():
+    with pytest.raises(StructureError, match="not declared in IP"):
+        _explore(lambda state: {IndexedProp("q", 1)}, indexed_prop_names={"p"})
+
+
+def test_exploration_overflow_raises_the_callers_error():
+    with pytest.raises(StructureError, match="overflow at 2"):
+        _explore(lambda state: (), max_states=2)
+    assert _explore(lambda state: (), max_states=3).num_states == 3

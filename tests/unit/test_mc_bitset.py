@@ -8,7 +8,12 @@ from repro.kripke.structure import KripkeStructure
 from repro.logic import parse
 from repro.logic.ast import Atom, IndexExists
 from repro.logic.transform import instantiate_quantifiers
-from repro.mc.bitset import BitsetCTLModelChecker, make_ctl_checker
+from repro.mc.bitset import (
+    ENGINE_MODULES,
+    ENGINE_NAMES,
+    BitsetCTLModelChecker,
+    make_ctl_checker,
+)
 from repro.mc.ctl import CTLModelChecker
 from repro.mc.indexed import ICTLStarModelChecker, check_batch
 from repro.mc.oracle import crosscheck_ctl_engines
@@ -145,6 +150,14 @@ def test_make_ctl_checker_engine_selection(branching_structure):
     assert naive.structure is branching_structure
     with pytest.raises(ModelCheckingError):
         make_ctl_checker(branching_structure, "frozenset")
+
+
+def test_engine_modules_name_where_each_checker_lives(ring3):
+    assert sorted(ENGINE_MODULES) == sorted(ENGINE_NAMES)
+    for engine in ENGINE_NAMES:
+        checker = make_ctl_checker(ring3, engine)
+        assert type(checker).__module__ == ENGINE_MODULES[engine], engine
+        getattr(checker, "close", lambda: None)()
 
 
 def test_ictlstar_engine_parameter(ring3):

@@ -11,6 +11,7 @@ from repro.mc.bitset import ENGINE_NAMES, BitsetCTLModelChecker, make_ctl_checke
 from repro.mc.fairness import FairnessConstraint
 from repro.mc.ic3 import DEFAULT_MAX_FRAMES, IC3ModelChecker, InvariantCertificate
 from repro.mc.indexed import ICTLStarModelChecker
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import recording
 from repro.systems import counter, mutex, token_ring
 
@@ -27,6 +28,18 @@ def test_ic3_is_a_registered_engine():
     assert isinstance(checker, IC3ModelChecker)
     assert checker.max_frames == DEFAULT_MAX_FRAMES
     assert not checker.supports_satisfaction_sets
+
+
+def test_template_cnf_vars_is_published_with_the_engine_label(mutex3_symbolic):
+    REGISTRY.reset()
+    checker = IC3ModelChecker(mutex3_symbolic)
+    assert checker.check(mutex.mutex_safety(3))
+    snapshot = REGISTRY.snapshot()
+    assert "ic3.template_cnf_vars" not in snapshot
+    cnf_vars = snapshot["ic3.template_cnf_vars{engine=ic3}"]
+    # Current and next state bits, then one Tseitin variable per BDD node.
+    assert cnf_vars > 2 * mutex3_symbolic.num_bits
+    REGISTRY.reset()
 
 
 def test_make_ctl_checker_bound_becomes_frame_ceiling():
