@@ -139,9 +139,9 @@ class BDDFunction:
         """Fused ``∃ levels . (self ∧ other)``."""
         return self._wrap(self.manager.relprod(self.node, self._coerce(other), levels))
 
-    def rename(self, mapping: Mapping[int, int], tag: object = None) -> "BDDFunction":
+    def rename(self, mapping: Mapping[int, int]) -> "BDDFunction":
         """Order-preserving variable substitution (see :meth:`BDDManager.rename`)."""
-        return self._wrap(self.manager.rename(self.node, mapping, tag))
+        return self._wrap(self.manager.rename(self.node, mapping))
 
     def permute(self, mapping: Mapping[int, int]) -> "BDDFunction":
         """General injective variable substitution (see :meth:`BDDManager.permute`)."""

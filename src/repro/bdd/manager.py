@@ -734,7 +734,7 @@ class BDDManager:
 
     # -- renaming ---------------------------------------------------------------
 
-    def rename(self, u: int, mapping: Mapping[int, int], tag: object = None) -> int:
+    def rename(self, u: int, mapping: Mapping[int, int]) -> int:
         """Substitute variables per ``mapping`` (var → var).
 
         The mapping must be strictly order-preserving on the operand's
@@ -744,8 +744,7 @@ class BDDManager:
         involving unmapped support variables — are detected during the walk.
         Cache entries are keyed by a canonical ``tuple(sorted(mapping.items()))``
         derived from the mapping's content, so semantically identical
-        renamings share entries regardless of the mapping object identity
-        (``tag`` is accepted for backwards compatibility and ignored).
+        renamings share entries regardless of the mapping object identity.
         """
         for var, target in mapping.items():
             self._ensure_var(var)

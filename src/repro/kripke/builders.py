@@ -4,7 +4,8 @@ The builders exist so that example systems and tests can describe structures
 state by state without assembling the full dictionaries by hand, and
 :func:`build_reachable` is the one reachable-state exploration that every
 explicit process family (the Section 5 token ring, the mutex and counter
-families, and template compositions) freezes into an indexed structure.
+families, template compositions and the Section 6 products) freezes into an
+indexed structure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.errors import ReproError, StructureError
 from repro.kripke.indexed import IndexedKripkeStructure
-from repro.kripke.structure import KripkeStructure, Label, State
+from repro.kripke.structure import KripkeStructure, Label, State, label_masks
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 
@@ -68,15 +69,10 @@ def build_reachable(
             rank[i] = position
         states = tuple(found[i] for i in order)
         succ_lists = [tuple(sorted({rank[j] for j in rows[i]})) for i in order]
-        prop_masks: Dict[Label, int] = {}
-        for position, state in enumerate(states):
-            bit = 1 << position
-            for element in label(state):
-                prop_masks[element] = prop_masks.get(element, 0) | bit
         structure = IndexedKripkeStructure.from_table(
             states,
             succ_lists,
-            prop_masks,
+            label_masks(map(label, states)),
             initial,
             index_values=index_values,
             indexed_prop_names=indexed_prop_names,

@@ -1,9 +1,10 @@
-"""Compiled explicit-state representation of a Kripke structure.
+"""The bitset table: how every explicit Kripke structure is stored.
 
 The naive model checkers iterate Python ``frozenset``s of hashable states,
 which dominates the running time of every fixpoint once the token-ring/product
-structures grow.  :class:`CompiledKripkeStructure` freezes a
-:class:`~repro.kripke.structure.KripkeStructure` into integer-indexed arrays:
+structures grow.  A :class:`~repro.kripke.structure.KripkeStructure` is
+therefore stored as a :class:`CompiledKripkeStructure` of integer-indexed
+arrays:
 
 * a state table assigning each state a dense index in ``range(|S|)``;
 * successor/predecessor adjacency lists (tuples of state indices) plus the
@@ -12,14 +13,14 @@ structures grow.  :class:`CompiledKripkeStructure` freezes a
 
 A set of states is then a single Python int (bit ``i`` set iff state ``i`` is
 in the set), so complement, union and intersection are one machine-word-per-64
--states operations instead of per-element hash lookups.  The compiled form is
-immutable and shared: compile once, check a whole family of formulas against
-it (see :class:`repro.mc.bitset.BitsetCTLModelChecker`).
+-states operations instead of per-element hash lookups.  The table is
+immutable and shared: every checker of a structure runs on the one table it
+was built as (see :class:`repro.mc.bitset.BitsetCTLModelChecker`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, KeysView, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, KeysView, List, Tuple
 
 from repro.errors import StructureError
 from repro.kripke.structure import (
@@ -63,33 +64,15 @@ def bits_of(mask: int) -> Iterator[int]:
 
 
 class CompiledKripkeStructure:
-    """An immutable integer-indexed view of a Kripke structure.
+    """The immutable integer-indexed table a Kripke structure is stored as.
 
-    Parameters
-    ----------
-    source:
-        The structure to compile.  Indexed structures keep their index set so
-        that the ``Θ_i P_i`` proposition stays decidable on the compiled form.
-
-    Notes
-    -----
-    State indices are assigned by sorting states on their ``repr`` — the same
-    deterministic order :meth:`KripkeStructure.to_dict` uses — so two compiles
-    of the same structure agree bit-for-bit.
+    Tables are made by :meth:`from_table`, which the structure's constructor
+    and :func:`repro.kripke.builders.build_reachable` call.  State indices
+    follow the states' ``repr`` order, so two structures built from the same
+    states, transitions and labels have equal tables.  An indexed source
+    keeps its index set, so the ``Θ_i P_i`` proposition stays decidable on
+    the table.
     """
-
-    def __init__(self, source: KripkeStructure) -> None:
-        ordered = tuple(sorted(source.states, key=repr))
-        index_of = {state: i for i, state in enumerate(ordered)}
-        succ_lists = [
-            tuple(sorted(index_of[t] for t in source.successors(state))) for state in ordered
-        ]
-        prop_masks: Dict[Label, int] = {}
-        for i, state in enumerate(ordered):
-            bit = 1 << i
-            for element in source.label(state):
-                prop_masks[element] = prop_masks.get(element, 0) | bit
-        self._freeze(source, ordered, index_of, succ_lists, prop_masks)
 
     @classmethod
     def from_table(
@@ -99,36 +82,22 @@ class CompiledKripkeStructure:
         succ_lists: List[Tuple[int, ...]],
         prop_masks: Dict[Label, int],
     ) -> "CompiledKripkeStructure":
-        """The compiled form of ``source``, handed over as its table.
+        """The table of ``source``.
 
-        ``states`` must be in ``repr`` order (the order :meth:`__init__`
-        assigns), ``succ_lists[i]`` the sorted, duplicate-free successor
-        indices of ``states[i]`` and ``prop_masks`` the states each label
-        element holds in.  This is how
-        :func:`repro.kripke.builders.build_reachable` emits an explored
-        graph without a dict-of-sets structure in between.
+        ``states`` must be in ``repr`` order, ``succ_lists[i]`` the sorted,
+        duplicate-free successor indices of ``states[i]`` and ``prop_masks``
+        the states each label element holds in.
         """
         table = cls.__new__(cls)
-        index_of = dict(zip(states, range(len(states))))
-        table._freeze(source, states, index_of, succ_lists, prop_masks)
-        return table
-
-    def _freeze(
-        self,
-        source: KripkeStructure,
-        states: Tuple[State, ...],
-        index_of: Dict[State, int],
-        succ_lists: List[Tuple[int, ...]],
-        prop_masks: Dict[Label, int],
-    ) -> None:
-        self._source = source
-        self._state_of: Tuple[State, ...] = states
-        self._index_of: Dict[State, int] = index_of
+        table._source = source
+        table._state_of = states
+        table._index_of = index_of = dict(zip(states, range(len(states))))
+        table._state_set = None
         n = len(states)
-        self._num_states = n
-        self._all_mask = (1 << n) - 1
+        table._num_states = n
+        table._all_mask = (1 << n) - 1
         try:
-            self._initial_index = index_of[source.initial_state]
+            table._initial_index = index_of[source.initial_state]
         except KeyError:
             raise StructureError(
                 "initial state %r is not a member of the state set" % (source.initial_state,)
@@ -142,27 +111,25 @@ class CompiledKripkeStructure:
                 mask |= 1 << t
                 pred_sets[t].append(i)
             succ_masks.append(mask)
-        self._succ_lists = tuple(succ_lists)
-        self._succ_masks = tuple(succ_masks)
-        self._pred_lists = tuple(tuple(sources) for sources in pred_sets)
+        table._succ_lists = tuple(succ_lists)
+        table._succ_masks = tuple(succ_masks)
+        table._pred_lists = tuple(tuple(sources) for sources in pred_sets)
         pred_masks: List[int] = []
         for sources in pred_sets:
             mask = 0
             for s in sources:
                 mask |= 1 << s
             pred_masks.append(mask)
-        self._pred_masks = tuple(pred_masks)
-        self._prop_masks = prop_masks
-
-        # Only indexed structures have an index set I (Θ_i P_i needs it).
-        self._index_values: Optional[FrozenSet[int]] = getattr(source, "index_values", None)
-        self._exactly_one_masks: Dict[str, int] = {}
+        table._pred_masks = tuple(pred_masks)
+        table._prop_masks = prop_masks
+        table._exactly_one_masks = {}
+        return table
 
     # -- basic accessors -----------------------------------------------------
 
     @property
     def source(self) -> KripkeStructure:
-        """The structure this compilation was built from."""
+        """The structure stored as this table."""
         return self._source
 
     @property
@@ -189,6 +156,13 @@ class CompiledKripkeStructure:
     def states(self) -> Tuple[State, ...]:
         """The state table: ``states[i]`` is the state with index ``i``."""
         return self._state_of
+
+    @property
+    def state_set(self) -> FrozenSet[State]:
+        """The states as a frozenset, built on first use."""
+        if self._state_set is None:
+            self._state_set = frozenset(self._state_of)
+        return self._state_set
 
     def index_of(self, state: State) -> int:
         """The dense index assigned to ``state``."""
@@ -273,7 +247,9 @@ class CompiledKripkeStructure:
         raise StructureError("atom_mask expects an atomic formula, got %r" % (formula,))
 
     def _exactly_one_mask(self, name: str) -> int:
-        if self._index_values is None:
+        # Only indexed structures have an index set I (Θ_i P_i needs it).
+        index_values = getattr(self._source, "index_values", None)
+        if index_values is None:
             raise StructureError(
                 "the Θ ('exactly one') proposition is only meaningful on an "
                 "IndexedKripkeStructure with a known index set"
@@ -285,7 +261,7 @@ class CompiledKripkeStructure:
         # P; track "at least one" and "at least two" masks in one pass.
         at_least_one = 0
         at_least_two = 0
-        for value in self._index_values:
+        for value in index_values:
             value_mask = self._prop_masks.get(IndexedProp(name, value), 0)
             at_least_two |= at_least_one & value_mask
             at_least_one |= value_mask
@@ -313,23 +289,7 @@ class CompiledKripkeStructure:
 
 
 def compile_structure(structure: KripkeStructure) -> CompiledKripkeStructure:
-    """Compile ``structure``, reusing an existing compilation for the same object.
-
-    Structures are immutable after construction, so the compiled form is
-    memoised on the structure itself: every checker/oracle touching the same
-    object shares one compilation, and the memo's lifetime is exactly the
-    structure's (no global cache to leak).
-    """
+    """The bitset table ``structure`` is stored as (a table is its own)."""
     if isinstance(structure, CompiledKripkeStructure):
         return structure
-    cached = getattr(structure, "_compiled_form", None)
-    if cached is None:
-        from repro.obs import metrics as _metrics
-        from repro.obs.trace import span as _span
-
-        with _span("build.compile", kind="bitset") as sp:
-            cached = CompiledKripkeStructure(structure)
-            sp.set(states=cached.num_states)
-        _metrics.gauge("build.states").set(cached.num_states)
-        structure._compiled_form = cached
-    return cached
+    return structure._table

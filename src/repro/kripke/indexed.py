@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple, Union
 
 from repro.errors import StructureError
-from repro.kripke.compiled import CompiledKripkeStructure
 from repro.kripke.structure import IndexedProp, KripkeStructure, Label, State
 from repro.logic.ast import ExactlyOne, Formula
 
@@ -44,8 +43,7 @@ class IndexedKripkeStructure(KripkeStructure):
         name: str | None = None,
     ) -> None:
         super().__init__(states, transitions, labeling, initial_state, name=name)
-        self._index_values: FrozenSet[int] = frozenset(index_values)
-        self._check_propositions(indexed_prop_names)
+        self._set_index(index_values, indexed_prop_names)
 
     @classmethod
     def from_table(
@@ -63,21 +61,19 @@ class IndexedKripkeStructure(KripkeStructure):
         The arguments after ``prop_masks`` are as for the constructor; the
         first three are the table, laid out as
         :meth:`~repro.kripke.compiled.CompiledKripkeStructure.from_table`
-        takes it.  The table becomes the structure's compiled form, and the
-        structure checks on it what the constructor checks on the dicts.
+        takes it.  The structure then checks on the table what the
+        constructor checks after building its own.
         """
         structure = cls.__new__(cls)
-        structure._initial_state = initial_state
-        structure._name = name
-        structure._index_values = frozenset(index_values)
-        structure._compiled_form = CompiledKripkeStructure.from_table(
-            structure, states, succ_lists, prop_masks
-        )
-        structure._check_propositions(indexed_prop_names)
+        structure._freeze(states, succ_lists, prop_masks, initial_state, name)
+        structure._set_index(index_values, indexed_prop_names)
         return structure
 
-    def _check_propositions(self, indexed_prop_names: Iterable[str] | None) -> None:
-        """Check ``I`` is non-empty and every label's indexed propositions lie in ``IP × I``."""
+    def _set_index(
+        self, index_values: Iterable[int], indexed_prop_names: Iterable[str] | None
+    ) -> None:
+        """Set ``I`` and ``IP``; check ``I`` is non-empty and every label lies in ``IP × I``."""
+        self._index_values: FrozenSet[int] = frozenset(index_values)
         if not self._index_values:
             raise StructureError("an indexed Kripke structure needs a non-empty index set I")
         props = self.indexed_propositions

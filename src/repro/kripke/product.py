@@ -18,17 +18,20 @@ ICTL* model checking.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Callable, List, Sequence, Set, Tuple
 
 from repro.errors import CompositionError
+from repro.kripke.builders import build_reachable
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import IndexedProp, KripkeStructure, State
 
 __all__ = ["interleaved_product", "synchronous_product"]
 
+GlobalState = Tuple[State, ...]
+
 
 def _tag_labels(
-    components: Sequence[KripkeStructure], index_values: Sequence[int], global_state: Tuple[State, ...]
+    components: Sequence[KripkeStructure], index_values: Sequence[int], global_state: GlobalState
 ) -> Set:
     label: Set = set()
     for component, index_value, local_state in zip(components, index_values, global_state):
@@ -42,9 +45,13 @@ def _tag_labels(
     return label
 
 
-def _check_components(
-    components: Sequence[KripkeStructure], index_values: Sequence[int] | None
-) -> List[int]:
+def _explore(
+    components: Sequence[KripkeStructure],
+    index_values: Sequence[int] | None,
+    successors: Callable[[GlobalState], List[GlobalState]],
+    name: str,
+) -> IndexedKripkeStructure:
+    """The product of ``components`` reachable under ``successors``, tagged by index value."""
     if not components:
         raise CompositionError("a product needs at least one component")
     if index_values is None:
@@ -57,7 +64,14 @@ def _check_components(
         )
     if len(set(values)) != len(values):
         raise CompositionError("index values must be distinct")
-    return values
+    return build_reachable(
+        tuple(component.initial_state for component in components),
+        successors,
+        lambda state: _tag_labels(components, values, state),
+        index_values=values,
+        name=name,
+        overflow=CompositionError,  # no max_states: the exploration is unbounded
+    )
 
 
 def interleaved_product(
@@ -72,34 +86,15 @@ def interleaved_product(
     labels (plain strings) become indexed propositions tagged with the
     component's index value.
     """
-    values = _check_components(components, index_values)
-    initial = tuple(component.initial_state for component in components)
 
-    states: Set[Tuple[State, ...]] = set()
-    transitions: Dict[Tuple[State, ...], Set[Tuple[State, ...]]] = {}
-    frontier = [initial]
-    states.add(initial)
-    while frontier:
-        current = frontier.pop()
-        successors: Set[Tuple[State, ...]] = set()
-        for position, component in enumerate(components):
-            for local_successor in component.successors(current[position]):
-                next_state = current[:position] + (local_successor,) + current[position + 1 :]
-                successors.add(next_state)
-                if next_state not in states:
-                    states.add(next_state)
-                    frontier.append(next_state)
-        transitions[current] = successors
+    def successors(current: GlobalState) -> List[GlobalState]:
+        return [
+            current[:position] + (local_successor,) + current[position + 1 :]
+            for position, component in enumerate(components)
+            for local_successor in component.successors(current[position])
+        ]
 
-    labeling = {state: _tag_labels(components, values, state) for state in states}
-    return IndexedKripkeStructure(
-        states,
-        transitions,
-        labeling,
-        initial,
-        index_values=values,
-        name=name or "interleaved_product",
-    )
+    return _explore(components, index_values, successors, name or "interleaved_product")
 
 
 def synchronous_product(
@@ -108,35 +103,12 @@ def synchronous_product(
     name: str | None = None,
 ) -> IndexedKripkeStructure:
     """Return the synchronous product of ``components`` (all components step together)."""
-    values = _check_components(components, index_values)
-    initial = tuple(component.initial_state for component in components)
 
-    states: Set[Tuple[State, ...]] = set()
-    transitions: Dict[Tuple[State, ...], Set[Tuple[State, ...]]] = {}
-    frontier = [initial]
-    states.add(initial)
-    while frontier:
-        current = frontier.pop()
-        successor_choices = [
-            sorted(component.successors(local_state), key=repr)
+    def successors(current: GlobalState) -> List[GlobalState]:
+        choices = [
+            component.successors(local_state)
             for component, local_state in zip(components, current)
         ]
-        successors: Set[Tuple[State, ...]] = set()
-        if all(successor_choices):
-            for combination in iter_product(*successor_choices):
-                next_state = tuple(combination)
-                successors.add(next_state)
-                if next_state not in states:
-                    states.add(next_state)
-                    frontier.append(next_state)
-        transitions[current] = successors
+        return list(iter_product(*choices))
 
-    labeling = {state: _tag_labels(components, values, state) for state in states}
-    return IndexedKripkeStructure(
-        states,
-        transitions,
-        labeling,
-        initial,
-        index_values=values,
-        name=name or "synchronous_product",
-    )
+    return _explore(components, index_values, successors, name or "synchronous_product")

@@ -19,8 +19,10 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
+    List,
     Mapping,
     NamedTuple,
+    Set,
     Tuple,
     Union,
 )
@@ -53,9 +55,19 @@ class IndexedProp(NamedTuple):
 #: A label element is either a plain proposition name or an indexed proposition.
 Label = Union[str, IndexedProp]
 
-#: The dict-of-sets fields a structure frozen from its bitset table decodes
-#: on first use (see :meth:`KripkeStructure.__getattr__`).
-_VIEW_FIELDS = frozenset({"_states", "_successors", "_predecessors", "_labels"})
+#: The dict-of-sets view a structure decodes from its table on first use
+#: (see :meth:`KripkeStructure.__getattr__`).
+_VIEW_FIELDS = frozenset({"_successors", "_predecessors", "_labels"})
+
+
+def label_masks(labels: Iterable[Iterable[Label]]) -> Dict[Label, int]:
+    """The proposition masks of a table whose ``i``-th state is labelled ``labels[i]``."""
+    masks: Dict[Label, int] = {}
+    for i, label in enumerate(labels):
+        bit = 1 << i
+        for element in label:
+            masks[element] = masks.get(element, 0) | bit
+    return masks
 
 
 class KripkeStructure:
@@ -83,12 +95,13 @@ class KripkeStructure:
     through :func:`repro.kripke.reachable.restrict_to_reachable`) before model
     checking, since the CTL*/CTL semantics of the paper assume totality.
 
-    Structures explored by :func:`repro.kripke.builders.build_reachable` are
-    frozen straight into their bitset table
-    (:class:`~repro.kripke.compiled.CompiledKripkeStructure`) instead: the
-    sizes, totality and label elements are read from the table, and the
-    dict-of-sets view behind :meth:`successors`, :meth:`label` and the other
-    per-state accessors is decoded from it on first use.
+    A structure is stored as its bitset table
+    (:class:`~repro.kripke.compiled.CompiledKripkeStructure`), built by the
+    constructor or handed over by
+    :func:`repro.kripke.builders.build_reachable`.  The sizes, state set,
+    totality and label elements are read from the table; the dict-of-sets
+    view behind :meth:`successors`, :meth:`predecessors` and :meth:`label`
+    is decoded from it on first use.
     """
 
     def __init__(
@@ -99,50 +112,50 @@ class KripkeStructure:
         initial_state: State,
         name: str | None = None,
     ) -> None:
-        self._states: FrozenSet[State] = frozenset(states)
-        if not self._states:
+        state_set = frozenset(states)
+        if not state_set:
             raise StructureError("a Kripke structure must have at least one state")
-        if initial_state not in self._states:
+        if initial_state not in state_set:
             raise StructureError("initial state %r is not a member of the state set" % (initial_state,))
+        # The table's order: states by repr.
+        ordered = tuple(sorted(state_set, key=repr))
+        index_of = dict(zip(ordered, range(len(ordered))))
+        targets: List[Set[int]] = [set() for _ in ordered]
+        if isinstance(transitions, Mapping):
+            transitions = ((s, t) for s, ends in transitions.items() for t in ends)
+        for source, target in transitions:
+            if source not in index_of:
+                raise StructureError("transition source %r is not a state" % (source,))
+            if target not in index_of:
+                raise StructureError("transition target %r is not a state" % (target,))
+            targets[index_of[source]].add(index_of[target])
+        labels: List[Iterable[Label]] = [()] * len(ordered)
+        for state, props in labeling.items():
+            if state not in index_of:
+                raise StructureError("labelled state %r is not a state" % (state,))
+            labels[index_of[state]] = props
+        succ_lists = [tuple(sorted(successors)) for successors in targets]
+        self._freeze(ordered, succ_lists, label_masks(labels), initial_state, name)
+
+    def _freeze(self, states, succ_lists, prop_masks, initial_state, name) -> None:
+        """Store the structure as the table ``(states, succ_lists, prop_masks)``."""
+        from repro.kripke.compiled import CompiledKripkeStructure
+
         self._initial_state = initial_state
         self._name = name
-
-        self._successors: Dict[State, FrozenSet[State]] = {}
-        pairs = self._transition_pairs_from(transitions)
-        forward: Dict[State, set] = {state: set() for state in self._states}
-        backward: Dict[State, set] = {state: set() for state in self._states}
-        for source, target in pairs:
-            if source not in self._states:
-                raise StructureError("transition source %r is not a state" % (source,))
-            if target not in self._states:
-                raise StructureError("transition target %r is not a state" % (target,))
-            forward[source].add(target)
-            backward[target].add(source)
-        self._successors = {state: frozenset(successors) for state, successors in forward.items()}
-        self._predecessors = {state: frozenset(sources) for state, sources in backward.items()}
-
-        labels: Dict[State, FrozenSet[Label]] = {}
-        for state, props in labeling.items():
-            if state not in self._states:
-                raise StructureError("labelled state %r is not a state" % (state,))
-            labels[state] = frozenset(props)
-        for state in self._states:
-            labels.setdefault(state, frozenset())
-        self._labels = labels
+        self._table = CompiledKripkeStructure.from_table(self, states, succ_lists, prop_masks)
 
     def __getattr__(self, name: str):
-        # Only reached for attributes the instance lacks: the view fields of a
-        # structure frozen from its table, until this first read decodes them.
+        # Only reached for attributes the instance lacks: the view fields,
+        # until this first read decodes them from the table.
         if name in _VIEW_FIELDS:
-            table = self._table()
-            if table is not None:
-                self._decode_view(table)
-                return self.__dict__[name]
+            self._decode_view()
+            return self.__dict__[name]
         raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
 
-    def _decode_view(self, table) -> None:
+    def _decode_view(self) -> None:
+        table = self._table
         states = table.states
-        self._states = frozenset(states)
         self._successors = {
             state: frozenset(states[t] for t in table.successors_of(i))
             for i, state in enumerate(states)
@@ -152,22 +165,6 @@ class KripkeStructure:
             for i, state in enumerate(states)
         }
         self._labels = dict(zip(states, table.labels()))
-
-    def _table(self):
-        """The bitset table this structure was frozen from or compiled into, if any."""
-        return self.__dict__.get("_compiled_form")
-
-    # -- transition-relation helpers ----------------------------------------
-
-    @staticmethod
-    def _transition_pairs_from(transitions) -> Iterator[Tuple[State, State]]:
-        if isinstance(transitions, Mapping):
-            for source, targets in transitions.items():
-                for target in targets:
-                    yield (source, target)
-        else:
-            for source, target in transitions:
-                yield (source, target)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -179,7 +176,7 @@ class KripkeStructure:
     @property
     def states(self) -> FrozenSet[State]:
         """The state set ``S``."""
-        return self._states
+        return self._table.state_set
 
     @property
     def initial_state(self) -> State:
@@ -189,16 +186,12 @@ class KripkeStructure:
     @property
     def num_states(self) -> int:
         """``|S|``."""
-        table = self._table()
-        return len(self._states) if table is None else table.num_states
+        return self._table.num_states
 
     @property
     def num_transitions(self) -> int:
         """``|R|``."""
-        table = self._table()
-        if table is not None:
-            return table.num_transitions
-        return sum(len(successors) for successors in self._successors.values())
+        return self._table.num_transitions
 
     def successors(self, state: State) -> FrozenSet[State]:
         """The successors of ``state`` under ``R``."""
@@ -215,10 +208,12 @@ class KripkeStructure:
             raise StructureError("%r is not a state of this structure" % (state,)) from None
 
     def transition_pairs(self) -> Iterator[Tuple[State, State]]:
-        """Iterate over all ``(source, target)`` transition pairs."""
-        for source in self._states:
-            for target in self._successors[source]:
-                yield (source, target)
+        """Iterate over all ``(source, target)`` transition pairs, in table order."""
+        table = self._table
+        states = table.states
+        for i, source in enumerate(states):
+            for t in table.successors_of(i):
+                yield (source, states[t])
 
     def label(self, state: State) -> FrozenSet[Label]:
         """The label ``L(state)``."""
@@ -227,32 +222,22 @@ class KripkeStructure:
         except KeyError:
             raise StructureError("%r is not a state of this structure" % (state,)) from None
 
-    def _label_elements(self) -> Iterable[Label]:
-        """Every element of some label (possibly repeated)."""
-        table = self._table()
-        if table is not None:
-            return table.label_elements()
-        return (element for label in self._labels.values() for element in label)
-
     @property
     def atomic_propositions(self) -> FrozenSet[str]:
         """The non-indexed proposition names occurring in any label."""
-        return frozenset(e for e in self._label_elements() if isinstance(e, str))
+        return frozenset(e for e in self._table.label_elements() if isinstance(e, str))
 
     @property
     def indexed_propositions(self) -> FrozenSet[IndexedProp]:
         """The indexed propositions occurring in any label."""
-        return frozenset(e for e in self._label_elements() if isinstance(e, IndexedProp))
+        return frozenset(e for e in self._table.label_elements() if isinstance(e, IndexedProp))
 
     def is_total(self) -> bool:
         """Return ``True`` when every state has at least one successor."""
-        table = self._table()
-        if table is not None:
-            return table.is_total()
-        return all(self._successors[state] for state in self._states)
+        return self._table.is_total()
 
     def __contains__(self, state: State) -> bool:
-        return state in self._states
+        return state in self.states
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         descriptor = self._name or self.__class__.__name__
@@ -284,27 +269,29 @@ class KripkeStructure:
 
     def with_labels(self, relabel) -> "KripkeStructure":
         """Return a copy of the structure with each label replaced by ``relabel(state, label)``."""
-        labeling = {state: relabel(state, self._labels[state]) for state in self._states}
-        return KripkeStructure(
-            self._states,
-            {state: self._successors[state] for state in self._states},
-            labeling,
-            self._initial_state,
-            name=self._name,
-        )
+        return self._relabelled(relabel, self._name)
+
+    def _relabelled(self, relabel, name: str | None) -> "KripkeStructure":
+        """A plain structure named ``name`` sharing this table's states and successor lists."""
+        table = self._table
+        labels = [relabel(state, label) for state, label in zip(table.states, table.labels())]
+        succ_lists = [table.successors_of(i) for i in range(table.num_states)]
+        relabelled = KripkeStructure.__new__(KripkeStructure)
+        relabelled._freeze(table.states, succ_lists, label_masks(labels), self._initial_state, name)
+        return relabelled
 
     def to_dict(self) -> dict:
-        """Return a JSON-serialisable description (states become their ``repr``)."""
-        state_ids = {state: index for index, state in enumerate(sorted(self._states, key=repr))}
+        """Return a JSON-serialisable description (states become their ``repr``, in table order)."""
+        table = self._table
         return {
             "name": self._name,
-            "states": [repr(state) for state in sorted(self._states, key=repr)],
-            "initial": state_ids[self._initial_state],
-            "transitions": sorted(
-                [state_ids[source], state_ids[target]] for source, target in self.transition_pairs()
-            ),
+            "states": [repr(state) for state in table.states],
+            "initial": table.initial_index,
+            "transitions": [
+                [i, t] for i in range(table.num_states) for t in table.successors_of(i)
+            ],
             "labels": {
-                str(state_ids[state]): sorted(str(element) for element in label)
-                for state, label in self._labels.items()
+                str(i): sorted(str(element) for element in label)
+                for i, label in enumerate(table.labels())
             },
         }

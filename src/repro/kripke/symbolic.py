@@ -632,9 +632,9 @@ class SymbolicKripkeStructure:
 def symbolic_structure(structure: KripkeStructure) -> SymbolicKripkeStructure:
     """Encode ``structure``, reusing an existing encoding for the same object.
 
-    Mirrors :func:`repro.kripke.compiled.compile_structure`: structures are
-    immutable after construction, so the symbolic form is memoised on the
-    structure itself and shared by every checker touching the same object.
+    Structures are immutable after construction, so the symbolic form is
+    memoised on the structure itself and shared by every checker touching
+    the same object.
     """
     if isinstance(structure, SymbolicKripkeStructure):
         return structure

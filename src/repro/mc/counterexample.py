@@ -55,8 +55,7 @@ __all__ = [
 _CHECKERS = (CTLModelChecker, BitsetCTLModelChecker, SymbolicCTLModelChecker)
 
 #: Attribute on which per-structure checkers are memoised, keyed by
-#: ``(engine, fairness)`` — mirrors how ``compile_structure`` memoises the
-#: compiled form on the structure so the memo's lifetime is the structure's.
+#: ``(engine, fairness)``, so the memo's lifetime is the structure's.
 _MEMO_ATTR = "_witness_checker_memo"
 
 CheckerOrStructure = Union[KripkeStructure, CTLModelChecker, BitsetCTLModelChecker,

@@ -67,8 +67,8 @@ def _make_atom_eval(
 ) -> AtomEval:
     """Resolve the leaf evaluator: explicit ``atom_eval`` wins, then the engine.
 
-    ``compile_structure`` memoises per live structure, so repeated oracle
-    calls against the same structure share one compilation.
+    A structure is stored as its bitset table, so repeated oracle calls
+    against the same structure share one table.
     """
     if atom_eval is not None:
         return atom_eval

@@ -235,7 +235,9 @@ def mutex_safety(size: int) -> Formula:
 
     The pairwise conjunction is written out over concrete indices (the
     Section 4 restrictions forbid nested index quantifiers), keeping the
-    body propositional — exactly the BMC invariant fragment.
+    body propositional — exactly the BMC invariant fragment.  With a single
+    process there is no pair to exclude, so the formula degenerates to
+    ``AG true``.
     """
     if size < 1:
         raise StructureError("the mutex protocol needs at least one process")
@@ -244,7 +246,7 @@ def mutex_safety(size: int) -> Formula:
         for left in range(1, size + 1)
         for right in range(left + 1, size + 1)
     ]
-    return AG(land(*pairs)) if pairs else AG(lnot(land(iatom("c", 1), iatom("c", 1))))
+    return AG(land(*pairs))
 
 
 def mutex_liveness() -> Formula:

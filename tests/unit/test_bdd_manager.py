@@ -223,21 +223,19 @@ def test_rename_rejects_interleaving_with_unmapped_support(manager):
 
 
 def test_rename_cache_key_is_content_derived(manager, abc):
-    """Semantically identical mappings share cache entries (PR-4 bugfix).
+    """Semantically identical mappings share cache entries.
 
-    The cache key used to be an arbitrary caller-supplied ``tag`` object, so
-    two equal mappings with different tags (or two equal dicts) missed each
-    other's entries.  The key is now derived from the mapping's sorted
-    content; any tag argument is ignored.
+    The cache key is derived from the mapping's sorted content, so two equal
+    mappings passed as distinct dict objects hit each other's entries.
     """
     a, b, c = abc
     f = (a & b) | c
-    first = manager.rename(f.node, {0: 10, 1: 11, 2: 12}, tag="one tag")
+    first = manager.rename(f.node, {0: 10, 1: 11, 2: 12})
     rename_stats = {cache.name: cache for cache in manager.stats().caches}["rename"]
     misses_before = rename_stats.hits + rename_stats.misses  # snapshot via counters
     hits_before = rename_stats.hits
-    # A *different* dict object with different tag but the same content.
-    second = manager.rename(f.node, {2: 12, 0: 10, 1: 11}, tag=("another", "tag"))
+    # A *different* dict object with the same content.
+    second = manager.rename(f.node, {2: 12, 0: 10, 1: 11})
     assert second == first
     rename_stats = {cache.name: cache for cache in manager.stats().caches}["rename"]
     assert rename_stats.hits > hits_before

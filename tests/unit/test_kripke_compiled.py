@@ -4,12 +4,7 @@ import pytest
 
 from repro.errors import StructureError
 from repro.kripke.builders import build_reachable
-from repro.kripke.compiled import (
-    CompiledKripkeStructure,
-    bits_of,
-    compile_structure,
-    popcount,
-)
+from repro.kripke.compiled import bits_of, compile_structure, popcount
 from repro.kripke.indexed import IndexedKripkeStructure
 from repro.kripke.structure import IndexedProp, KripkeStructure
 from repro.logic.ast import Atom, ExactlyOne, FalseLiteral, IndexedAtom, Not, TrueLiteral
@@ -42,13 +37,30 @@ def test_compile_assigns_dense_indices_and_preserves_relations(branching_structu
         assert compiled.predecessor_mask(index) == compiled.mask_of(predecessors)
 
 
+def _rebuild(structure, states=None):
+    """A structure built through the dict constructor from ``structure``'s decoded view."""
+    states = list(structure.states) if states is None else states
+    kwargs = {}
+    if isinstance(structure, IndexedKripkeStructure):
+        kwargs["index_values"] = structure.index_values
+    return type(structure)(
+        states,
+        {state: structure.successors(state) for state in states},
+        {state: structure.label(state) for state in states},
+        structure.initial_state,
+        **kwargs,
+    )
+
+
 def test_compile_keeps_every_state_of_ring4(ring4):
-    assert CompiledKripkeStructure(ring4).num_states == ring4.num_states
+    assert compile_structure(_rebuild(ring4)).num_states == len(ring4.states)
 
 
 def test_compile_is_deterministic(branching_structure):
-    first = CompiledKripkeStructure(branching_structure)
-    second = CompiledKripkeStructure(branching_structure)
+    # Two builds from the same input given in different orders share one table.
+    states = sorted(branching_structure.states)
+    first = compile_structure(_rebuild(branching_structure, states))
+    second = compile_structure(_rebuild(branching_structure, states[::-1]))
     assert first.states == second.states
     assert [first.successor_mask(i) for i in range(first.num_states)] == [
         second.successor_mask(i) for i in range(second.num_states)
@@ -164,8 +176,9 @@ def _assert_table_is_the_compile_of_its_view(structure):
     assert table.source is structure
     # Built straight into the table: no dict-of-sets view exists yet.
     assert not any(field in vars(structure) for field in _VIEW_FIELDS)
-    # Compiling reads the accessors, which decode the view from the table.
-    compiled = CompiledKripkeStructure(structure)
+    # The reference: the view decoded from the table, compiled again
+    # through the dict constructor.
+    compiled = compile_structure(_rebuild(structure))
     assert compiled.states == table.states
     assert compiled.initial_index == table.initial_index
     assert compiled.all_mask == table.all_mask

@@ -138,3 +138,24 @@ class TestBMCTarget:
             for engine in ENGINE_NAMES:
                 checker = make_ctl_checker(structure, engine=engine, bound=10)
                 assert checker.check(mutex.mutex_safety(size)) is expected, engine
+
+
+class TestOneProcess:
+    """With one process there is no pair to exclude: safety is ``AG true``."""
+
+    @pytest.mark.parametrize("buggy", [False, True])
+    @pytest.mark.parametrize("engine", ["bitset", "naive", "bdd", "bmc", "ic3"])
+    def test_safety_holds(self, engine, buggy):
+        from repro.mc import make_ctl_checker
+
+        checker = make_ctl_checker(mutex.build_mutex(1, buggy=buggy), engine=engine, bound=10)
+        assert checker.check(mutex.mutex_safety(1))
+
+    @pytest.mark.parametrize("buggy", [False, True])
+    @pytest.mark.parametrize("engine", ["bitset", "naive", "bdd", "bmc", "ic3"])
+    def test_cli_exits_zero(self, engine, buggy, capsys):
+        from repro.cli import main
+
+        args = ["--system", "mutex", "--size", "1", "--engine", engine]
+        assert main(args + (["--buggy"] if buggy else [])) == 0
+        assert "FAIL" not in capsys.readouterr().out
