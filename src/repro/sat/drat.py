@@ -24,10 +24,9 @@ interoperability.
 Why the learnt clauses are always RUP: CDCL conflict analysis resolves
 the conflicting clause only against *reason* clauses, never against
 decisions — so the learnt clause follows from the database by input
-resolution, which forward RUP checks one step at a time.  Strengthened
-and vivified clauses are resolvents/propagation consequences and are
-logged *before* the clause they replace is deleted, keeping every step
-checkable in order.
+resolution, which forward RUP checks one step at a time.  A clause
+subsumed on the fly is deleted only *after* the learnt clause that
+subsumes it is logged, keeping every step checkable in order.
 """
 
 from __future__ import annotations

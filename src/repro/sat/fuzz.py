@@ -8,14 +8,11 @@ solves each with :class:`repro.sat.solver.Solver`, and checks the verdict:
   :mod:`repro.sat.cnf` (which is why the variable count is kept small);
 * each instance is additionally round-tripped through DIMACS before solving,
   so the serialiser and parser are fuzzed along the way;
-* a second solver for the same instance runs :meth:`Solver.inprocess`
-  (subsumption, strengthening, vivification) before solving and must reach
-  the same verdict — the differential check for the inprocessing passes;
 * each instance is re-queried under random assumptions; an UNSAT answer
   there must come with an :meth:`Solver.unsat_core` that is a subset of the
   assumptions and is itself sufficient (the formula conjoined with just the
   core stays unsatisfiable under the enumerator);
-* every solver runs with a :mod:`repro.sat.drat` proof log attached, and the
+* the solver runs with a :mod:`repro.sat.drat` proof log attached, and the
   full transcript — covering *every* UNSAT verdict the round produced — must
   pass the independent forward RUP/DRAT checker.
 
@@ -80,18 +77,13 @@ def run_fuzz(
         num_clauses = max(1, int(round(ratio * num_vars)))
         cnf = parse_dimacs(to_dimacs(random_3cnf(rng, num_vars, num_clauses)))
 
-        def fresh() -> Solver:
-            solver = Solver()
-            solver.start_proof()
-            for _ in range(cnf.num_vars):
-                solver.new_var()
-            for clause in cnf.clauses:
-                solver.add_clause(clause)
-            return solver
-
-        solver = fresh()
-        verdict = solver.solve()
-        if verdict:
+        solver = Solver()
+        solver.start_proof()
+        for _ in range(cnf.num_vars):
+            solver.new_var()
+        for clause in cnf.clauses:
+            solver.add_clause(clause)
+        if solver.solve():
             sat_count += 1
             model = solver.model()
             if not evaluate_clauses(cnf.clauses, model):
@@ -105,16 +97,6 @@ def run_fuzz(
             print(
                 "FAIL round %d: solver says UNSAT but the enumerator found a model"
                 % round_number,
-                file=out,
-            )
-
-        # Differential inprocessing: simplify first, the verdict must agree.
-        simplified = fresh()
-        simplified.inprocess()
-        if simplified.solve() != verdict:
-            failures += 1
-            print(
-                "FAIL round %d: inprocessing changed the verdict" % round_number,
                 file=out,
             )
 
@@ -155,19 +137,16 @@ def run_fuzz(
                     file=out,
                 )
 
-        # Certify every proof transcript: each UNSAT verdict above (plain,
-        # inprocessed, or under assumptions) must survive the independent
-        # RUP/DRAT checker.
-        for name, proved in (("main", solver), ("inprocessed", simplified)):
-            try:
-                certified_verdicts += check_proof(proved.proof)["unsat_checks"]
-            except ProofError as error:
-                failures += 1
-                print(
-                    "FAIL round %d: %s solver proof rejected: %s"
-                    % (round_number, name, error),
-                    file=out,
-                )
+        # Certify the proof transcript: each UNSAT verdict above (plain or
+        # under assumptions) must survive the independent RUP/DRAT checker.
+        try:
+            certified_verdicts += check_proof(solver.proof)["unsat_checks"]
+        except ProofError as error:
+            failures += 1
+            print(
+                "FAIL round %d: solver proof rejected: %s" % (round_number, error),
+                file=out,
+            )
     print(
         "fuzz: %d instances (%d SAT / %d UNSAT), %d certified UNSAT verdicts, "
         "%d failures" % (count, sat_count, count - sat_count, certified_verdicts, failures),

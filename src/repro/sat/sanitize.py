@@ -1,8 +1,7 @@
 """Opt-in runtime auditor for the CDCL solver's internal invariants.
 
 A structural audit of a :class:`~repro.sat.solver.Solver` at its stable
-points (end of :meth:`~repro.sat.solver.Solver.solve` and of
-:meth:`~repro.sat.solver.Solver.inprocess`): two-watched-literal
+point, the end of :meth:`~repro.sat.solver.Solver.solve`: two-watched-literal
 bookkeeping, trail/decision-level consistency, implication-reason
 validity, VSIDS heap shape, and learnt-database/LBD accounting.
 

@@ -23,11 +23,6 @@ The solver implements the standard modern architecture:
   subsumes the conflicting clause it was derived from, the conflict clause
   is dropped from the database (and the learnt clause promoted to a problem
   clause when the subsumed clause was one);
-* **inprocessing** (:meth:`Solver.inprocess`, also auto-triggered every few
-  thousand conflicts) — top-level simplification, signature-filtered
-  backward subsumption and self-subsumption strengthening, and bounded
-  vivification (probing each clause's literals under unit propagation to
-  shorten it);
 * **VSIDS branching with phase saving** — variable activities are bumped
   during analysis and decayed per conflict; decisions pick the most active
   unassigned variable from an indexed max-heap and re-use the polarity the
@@ -116,8 +111,6 @@ class SolverStats:
     deleted_clauses: int = 0
     solve_calls: int = 0
     subsumed_clauses: int = 0
-    strengthened_clauses: int = 0
-    inprocessings: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Flatten into a JSON-serialisable dictionary."""
@@ -209,11 +202,10 @@ class Solver(ClauseSink):
 
     _RESTART_BASE = 100
     _RESCALE_LIMIT = 1e100
-    _INPROCESS_INTERVAL = 4000
-    _VIVIFY_CLAUSE_LIMIT = 300
-    _VIVIFY_LENGTH_LIMIT = 16
+    _VAR_DECAY = 0.95
+    _CLAUSE_DECAY = 0.999
 
-    def __init__(self, var_decay: float = 0.95, clause_decay: float = 0.999) -> None:
+    def __init__(self) -> None:
         self.stats = SolverStats()
         self._ok = True
         self._num_vars = 0
@@ -236,13 +228,10 @@ class Solver(ClauseSink):
         self._qhead = 0
         self._order = _VarOrder(self._activity)
         self._var_inc = 1.0
-        self._var_decay = var_decay
         self._cla_inc = 1.0
-        self._cla_decay = clause_decay
         self._max_learnts = 1000.0
         self._model: Optional[Dict[int, bool]] = None
         self._conflict_core: Optional[FrozenSet[int]] = None
-        self._next_inprocess = self._INPROCESS_INTERVAL
         self._true_literal = None
         self._proof: Optional[ProofLog] = None
 
@@ -339,13 +328,10 @@ class Solver(ClauseSink):
         other._order._heap = list(self._order._heap)
         other._order._position = list(self._order._position)
         other._var_inc = self._var_inc
-        other._var_decay = self._var_decay
         other._cla_inc = self._cla_inc
-        other._cla_decay = self._cla_decay
         other._max_learnts = self._max_learnts
         other._model = None if self._model is None else dict(self._model)
         other._conflict_core = self._conflict_core
-        other._next_inprocess = self._next_inprocess
         other._true_literal = self._true_literal
         other._proof = None
         return other
@@ -577,7 +563,7 @@ class Solver(ClauseSink):
     # -- activities ---------------------------------------------------------------
 
     def _var_decay_tick(self) -> None:
-        self._var_inc /= self._var_decay
+        self._var_inc /= self._VAR_DECAY
 
     def _cla_bump(self, clause: _Clause) -> None:
         clause.activity += self._cla_inc
@@ -587,7 +573,7 @@ class Solver(ClauseSink):
             self._cla_inc *= 1e-20
 
     def _cla_decay_tick(self) -> None:
-        self._cla_inc /= self._cla_decay
+        self._cla_inc /= self._CLAUSE_DECAY
 
     # -- conflict analysis --------------------------------------------------------
 
@@ -931,12 +917,6 @@ class Solver(ClauseSink):
         if not self._ok:
             self._conflict_core = frozenset()
             return False
-        if self.stats.conflicts >= self._next_inprocess:
-            self.inprocess()
-            self._next_inprocess = self.stats.conflicts + self._INPROCESS_INTERVAL
-            if not self._ok:
-                self._conflict_core = frozenset()
-                return False
         if self._propagate() is not None:
             self._ok = False
             self._conflict_core = frozenset()
@@ -963,262 +943,6 @@ class Solver(ClauseSink):
         if self._conflict_core is None:
             raise SatError("no unsat core available; the last solve() did not return UNSAT")
         return self._conflict_core
-
-    # -- inprocessing ----------------------------------------------------------------
-
-    def inprocess(self) -> bool:
-        """Simplify the clause database at decision level zero.
-
-        Three passes, each sound with respect to the incremental contract
-        (no new variables, the database only gets logically stronger or
-        equivalent): top-level simplification against the fixed assignment,
-        signature-filtered backward subsumption with self-subsumption
-        strengthening, and bounded vivification.  Runs automatically every
-        few thousand conflicts; returns ``False`` when simplification
-        discovered the database to be unsatisfiable.
-        """
-        with _span("sat.inprocess") as sp:
-            subsumed_before = self.stats.subsumed_clauses
-            strengthened_before = self.stats.strengthened_clauses
-            self._cancel_until(0)
-            if not self._ok:
-                return False
-            if self._propagate() is not None:
-                self._ok = False
-                return False
-            if self._proof is not None:
-                # Pin every level-0 fact as a derived unit before any
-                # satisfied clause is deleted: deletion would otherwise
-                # strip the checker of the propagation support later
-                # strengthening steps rely on.  Each unit is RUP (it is
-                # exactly what unit propagation derives).
-                for literal in self._trail:
-                    self._proof.add((literal,))
-            # Level-0 reasons are never dereferenced (analysis guards on
-            # level > 0), but null them so removed clauses cannot linger as
-            # locked.
-            for index in range(len(self._trail)):
-                self._reason[abs(self._trail[index])] = None
-            self._simplify_top_level()
-            if self._ok:
-                self._backward_subsume()
-            if self._ok:
-                self._vivify()
-            # Units propagated by _readd during the passes acquired reasons
-            # whose clauses may since have been removed; null them too.
-            for index in range(len(self._trail)):
-                self._reason[abs(self._trail[index])] = None
-            self._clauses = [clause for clause in self._clauses if not clause.removed]
-            self._learnts = [clause for clause in self._learnts if not clause.removed]
-            self.stats.inprocessings += 1
-            _metrics.counter("sat.inprocess.runs").inc()
-            sp.set(
-                subsumed=self.stats.subsumed_clauses - subsumed_before,
-                strengthened=self.stats.strengthened_clauses - strengthened_before,
-            )
-            if _sanitize.MODE:
-                _sanitize.maybe_check_solver(self)
-            return self._ok
-
-    def _simplify_top_level(self) -> None:
-        """Drop satisfied clauses and strip level-0-false literals in place.
-
-        After full propagation an unsatisfied clause never has a false
-        watched literal (the watch invariant), so stripping only touches
-        positions ≥ 2 and the watches stay valid.
-        """
-        for store in (self._clauses, self._learnts):
-            for clause in store:
-                if clause.removed:
-                    continue
-                lits = clause.lits
-                satisfied = False
-                has_false = False
-                for literal in lits:
-                    value = self._values[literal]
-                    if value == 1:
-                        satisfied = True
-                        break
-                    if value == -1:
-                        has_false = True
-                if satisfied:
-                    clause.removed = True
-                    if self._proof is not None:
-                        self._proof.delete(lits)
-                    continue
-                if has_false:
-                    original = list(lits) if self._proof is not None else None
-                    lits[2:] = [
-                        literal for literal in lits[2:] if self._values[literal] != -1
-                    ]
-                    if original is not None and len(lits) < len(original):
-                        self._proof.add(lits)
-                        self._proof.delete(original)
-
-    @staticmethod
-    def _signature(lits: Sequence[int]) -> int:
-        """A 64-bit Bloom signature over the clause's variables."""
-        signature = 0
-        for literal in lits:
-            signature |= 1 << (abs(literal) & 63)
-        return signature
-
-    def _backward_subsume(self) -> None:
-        """Backward subsumption + self-subsumption over the whole database.
-
-        Each clause is checked against the occurrence list of its rarest
-        variable; a candidate whose variable signature is not a superset is
-        skipped without touching its literals.  ``C ⊆ D`` removes ``D``
-        (promoting ``C`` when ``D`` was a problem clause); ``C`` matching
-        ``D`` except for one negated literal strengthens ``D`` by removing
-        that literal.
-        """
-        clauses = [
-            clause
-            for store in (self._clauses, self._learnts)
-            for clause in store
-            if not clause.removed
-        ]
-        occurrences: Dict[int, List[_Clause]] = {}
-        signatures: Dict[int, int] = {}
-        for clause in clauses:
-            signatures[id(clause)] = self._signature(clause.lits)
-            for literal in clause.lits:
-                occurrences.setdefault(abs(literal), []).append(clause)
-        clauses.sort(key=lambda clause: len(clause.lits))
-        strengthened: List[Tuple[_Clause, List[int]]] = []
-        for clause in clauses:
-            if clause.removed:
-                continue
-            lits = clause.lits
-            rarest = min(lits, key=lambda literal: len(occurrences.get(abs(literal), ())))
-            own_signature = signatures[id(clause)]
-            own_set = set(lits)
-            for candidate in occurrences.get(abs(rarest), ()):
-                if candidate is clause or candidate.removed:
-                    continue
-                if len(candidate.lits) < len(lits):
-                    continue
-                if own_signature & ~signatures[id(candidate)]:
-                    continue
-                negated = 0  # the one literal of C occurring negated in D, if any
-                missing = False
-                candidate_set = set(candidate.lits)
-                for literal in own_set:
-                    if literal in candidate_set:
-                        continue
-                    if -literal in candidate_set and negated == 0:
-                        negated = -literal
-                        continue
-                    missing = True
-                    break
-                if missing:
-                    continue
-                if negated == 0:
-                    candidate.removed = True
-                    if self._proof is not None:
-                        self._proof.delete(candidate.lits)
-                    if clause.learnt and not candidate.learnt:
-                        clause.learnt = False  # promoted: now carries a problem constraint
-                        self._learnts = [c for c in self._learnts if c is not clause]
-                        self._clauses.append(clause)
-                    self.stats.subsumed_clauses += 1
-                elif len(candidate.lits) > 1:
-                    shrunk = [literal for literal in candidate.lits if literal != negated]
-                    strengthened.append((candidate, shrunk))
-                    candidate.removed = True
-                    self.stats.strengthened_clauses += 1
-        for original, shrunk in strengthened:
-            # _readd logs the strengthened clause as a derivation first; the
-            # original is deleted after, while the checker can still resolve
-            # against it.
-            ok = self._readd(shrunk, original.learnt, original.lbd)
-            if self._proof is not None:
-                self._proof.delete(original.lits)
-            if not ok:
-                return
-
-    def _readd(self, lits: List[int], learnt: bool, lbd: int) -> bool:
-        """Attach a rewritten clause (after strengthening or vivification)."""
-        lits = [literal for literal in lits if self._values[literal] != -1]
-        if any(self._values[literal] == 1 for literal in lits):
-            return True
-        if self._proof is not None:
-            self._proof.add(lits)
-        if not lits:
-            self._ok = False
-            return False
-        if len(lits) == 1:
-            trail_before = len(self._trail)
-            self._enqueue(lits[0], None)
-            if self._propagate() is not None:
-                self._ok = False
-                return False
-            if self._proof is not None:
-                # Pin the level-0 consequences right away: the ongoing
-                # inprocessing pass may delete the (now satisfied) clauses
-                # that propagated them before anything else records them.
-                for literal in self._trail[trail_before + 1 :]:
-                    self._proof.add((literal,))
-            return True
-        clause = _Clause(lits, learnt=learnt, lbd=min(lbd, len(lits)) if lbd else 0)
-        (self._learnts if learnt else self._clauses).append(clause)
-        self._attach(clause)
-        return True
-
-    def _vivify(self) -> None:
-        """Bounded vivification: shorten clauses by unit-propagation probing.
-
-        For a clause ``l₁ ∨ … ∨ lₖ`` (detached first, so it cannot feed its
-        own probe), assert ``¬l₁, ¬l₂, …`` one decision level at a time.  A
-        propagation conflict after ``i`` literals proves the prefix
-        ``l₁ ∨ … ∨ lᵢ`` is itself implied; a probe literal found already
-        true ends the clause there; one found already false is redundant
-        and dropped.  The pass is bounded by clause count and length.
-        """
-        candidates = [
-            clause
-            for store in (self._clauses, self._learnts)
-            for clause in store
-            if not clause.removed and 3 <= len(clause.lits) <= self._VIVIFY_LENGTH_LIMIT
-        ]
-        for clause in candidates[: self._VIVIFY_CLAUSE_LIMIT]:
-            if clause.removed:
-                continue
-            if any(self._values[literal] == 1 for literal in clause.lits):
-                clause.removed = True
-                if self._proof is not None:
-                    self._proof.delete(clause.lits)
-                continue
-            lits = [literal for literal in clause.lits if self._values[literal] == 0]
-            clause.removed = True  # detached: the probe must not use the clause itself
-            shortened: List[int] = []
-            conflicted = False
-            for literal in lits:
-                value = self._values[literal]
-                if value == 1:
-                    # The negated prefix already implies this literal.
-                    shortened.append(literal)
-                    conflicted = True
-                    break
-                if value == -1:
-                    continue  # implied false under the prefix: redundant
-                shortened.append(literal)
-                self._trail_lim.append(len(self._trail))
-                self._enqueue(-literal, None)
-                if self._propagate() is not None:
-                    conflicted = True
-                    break
-            self._cancel_until(0)
-            if len(shortened) < len(clause.lits):
-                self.stats.strengthened_clauses += 1
-            # As in _backward_subsume: derive the shortened clause before
-            # deleting the one it replaces.
-            ok = self._readd(shortened, clause.learnt, clause.lbd)
-            if self._proof is not None:
-                self._proof.delete(clause.lits)
-            if not ok:
-                return
 
     # -- models ---------------------------------------------------------------------
 

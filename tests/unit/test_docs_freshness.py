@@ -188,3 +188,40 @@ def test_resilience_doc_names_the_cli_flags_and_chaos_knobs():
     readme = (_REPO_ROOT / "README.md").read_text(encoding="utf-8")
     for flag in ("--timeout", "--memory-limit", "--workers", "--buggy"):
         assert flag in readme, "flag %s is missing from the README" % flag
+
+
+def _documented_span_names():
+    """The backticked names in the first column of OBSERVABILITY.md's span
+    table, wildcard rows such as ``timed.<fn>`` left out."""
+    text = (_REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    lines = iter(text.splitlines())
+    for line in lines:
+        if line.startswith("| Span |"):
+            break
+    next(lines)  # the | --- | separator row
+    names = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        first_column = line.split("|")[1]
+        names.extend(
+            name for name in re.findall(r"`([^`]+)`", first_column) if "<" not in name
+        )
+    return names
+
+
+def test_every_documented_span_is_emitted_by_the_code():
+    """The converse of the vocabulary check: a span the code no longer emits
+    must not outlive it in the span table."""
+    names = _documented_span_names()
+    assert names, "span table not found in docs/OBSERVABILITY.md"
+    sources = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in (_REPO_ROOT / "src" / "repro").rglob("*.py")
+    )
+    missing = [
+        name
+        for name in names
+        if '"%s"' % name not in sources and "'%s'" % name not in sources
+    ]
+    assert not missing, "documented spans never emitted: %s" % missing

@@ -216,44 +216,6 @@ def test_unsat_core_unavailable_after_sat():
         solver.unsat_core()
 
 
-def test_inprocess_preserves_satisfiability():
-    """Explicit inprocessing must never change any verdict (differential)."""
-    rng = random.Random(11)
-    for _ in range(30):
-        num_vars = rng.randint(4, 10)
-        cnf = random_3cnf(rng, num_vars, int(4.0 * num_vars))
-        plain, simplified = _solver_for(cnf), _solver_for(cnf)
-        assert simplified.inprocess() or not naive_satisfiable(cnf)
-        verdict = simplified.solve()
-        assert verdict == plain.solve() == naive_satisfiable(cnf)
-        if verdict:
-            assert evaluate_clauses(cnf.clauses, simplified.model())
-
-
-def test_inprocess_subsumes_and_strengthens():
-    solver = Solver()
-    a, b, c = (solver.new_var() for _ in range(3))
-    solver.add_clause([a, b])
-    solver.add_clause([a, b, c])      # subsumed by [a, b]
-    solver.add_clause([-a, b, c])     # self-subsumption with [a, b] on a
-    assert solver.inprocess()
-    assert solver.stats.subsumed_clauses >= 1
-    assert solver.stats.inprocessings == 1
-    assert solver.solve()
-
-
-def test_inprocess_keeps_incremental_solving_correct():
-    """Assumptions asked after an inprocess() round still see all clauses."""
-    solver = Solver()
-    x, y = solver.new_var(), solver.new_var()
-    solver.add_clause([x, y])
-    solver.add_clause([x, -y])
-    assert solver.inprocess()
-    assert not solver.solve(assumptions=[-x])
-    assert solver.unsat_core() == frozenset({-x})
-    assert solver.solve(assumptions=[x])
-
-
 def test_glue_reduction_keeps_binary_clauses_sound():
     """Aggressive DB reduction with glue-aware retention never loses answers."""
     rng = random.Random(5)
@@ -427,7 +389,6 @@ def test_solving_a_clone_leaves_the_source_untouched():
     twin.solve()
     twin.solve(assumptions=[1, -2, 3])
     twin.add_clause([4, 5])
-    twin.inprocess()
     assert twin.stats.conflicts > 0
     assert snapshot(source) == before
 
